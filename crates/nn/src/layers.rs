@@ -529,10 +529,10 @@ impl Layer for Relu {
             layer: "relu".into(),
         })?;
         let mut g = grad_out.clone();
+        // A select, not a branch: the mask is data-dependent, and a
+        // branch mispredicts on about half the elements.
         for (v, &keep) in g.data_mut().iter_mut().zip(mask) {
-            if !keep {
-                *v = 0.0;
-            }
+            *v = if keep { *v } else { 0.0 };
         }
         Ok(g)
     }

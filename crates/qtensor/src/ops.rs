@@ -567,25 +567,26 @@ pub fn maxpool2d(input: &Tensor, k: usize) -> Result<MaxPoolOutput, TensorError>
     let mut argmax = vec![0usize; out.len()];
     let id = input.data();
     let od = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let idx = ((ni * c + ci) * h + oy * k + ky) * w + ox * k + kx;
-                            if id[idx] > best {
-                                best = id[idx];
-                                best_idx = idx;
-                            }
-                        }
+    let mut oidx = 0;
+    for plane in 0..n * c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0usize;
+                for ky in 0..k {
+                    let start = (plane * h + oy * k + ky) * w + ox * k;
+                    for (idx, &v) in (start..).zip(&id[start..start + k]) {
+                        // Strict `>` keeps the first maximum (and never
+                        // takes a NaN); a select, not a branch, which
+                        // mispredicts on random data.
+                        let gt = v > best;
+                        best = if gt { v } else { best };
+                        best_idx = if gt { idx } else { best_idx };
                     }
-                    let oidx = ((ni * c + ci) * oh + oy) * ow + ox;
-                    od[oidx] = best;
-                    argmax[oidx] = best_idx;
                 }
+                od[oidx] = best;
+                argmax[oidx] = best_idx;
+                oidx += 1;
             }
         }
     }
@@ -870,6 +871,24 @@ mod tests {
         assert_eq!(gin.get(&[0, 0, 2, 1]).unwrap(), 3.0); // where 0.0 was
         assert_eq!(gin.get(&[0, 0, 3, 2]).unwrap(), 4.0); // where 0.75 was
         assert_eq!(gin.sum(), 10.0);
+    }
+
+    #[test]
+    fn maxpool_first_maximum_skips_nan() {
+        // Plane 0: NaN never wins, ties keep the first maximum in
+        // row-major window order, the ragged third row is ignored.
+        // Plane 1: an all-NaN window reports −∞ at flat index 0.
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let mut data = vec![
+            nan, 1.0, 2.0, 2.0, //
+            1.0, nan, ninf, 2.0, //
+            9.0, 9.0, 9.0, 9.0,
+        ];
+        data.extend([nan; 12]);
+        let input = Tensor::from_vec(data, &[1, 2, 3, 4]).unwrap();
+        let MaxPoolOutput { output, argmax } = maxpool2d(&input, 2).unwrap();
+        assert_eq!(output.data(), &[1.0, 2.0, ninf, ninf]);
+        assert_eq!(argmax, [1, 2, 0, 0]);
     }
 
     #[test]

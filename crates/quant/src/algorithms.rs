@@ -457,21 +457,12 @@ impl TrainingQuantizer {
                 seed,
             } => out.extend_from_slice(format.quantize_tensor(x, *rounding, *seed).data()),
             QuantScheme::LayerWise { format, multiplex } => {
-                // Layer-wise accumulation order cannot be split without
-                // changing bits, so this stays sequential regardless of
-                // tensor size.
+                // One block spanning the tensor. Layer-wise accumulation
+                // order cannot be split without changing bits, so this
+                // stays sequential regardless of tensor size.
                 out.resize(data.len(), 0.0);
-                let theta = fast::block_theta(data);
-                match multiplex {
-                    None => {
-                        fast::fake_quantize_block(data, QuantParams::symmetric(theta, *format), out)
-                    }
-                    Some(m) => {
-                        m.candidate_params_into(theta, &mut scratch.params);
-                        let way = fast::eval_candidates_shared(data, m.estimator(), scratch);
-                        fast::emit_winner(scratch, way, data.len(), out);
-                    }
-                }
+                let whole = data.len().max(1);
+                fake_quantize_band(data, out, whole, *format, multiplex, scratch);
             }
             QuantScheme::Hqt {
                 block_size,
@@ -483,7 +474,7 @@ impl TrainingQuantizer {
                 out.resize(data.len(), 0.0);
                 let pool = Pool::global();
                 if data.len() < fast::PAR_MIN_ELEMS || pool.threads() == 1 {
-                    fake_quantize_hqt_band(data, out, k, *format, multiplex, scratch);
+                    fake_quantize_band(data, out, k, *format, multiplex, scratch);
                 } else {
                     pool.parallel_block_chunks(
                         out.as_mut_slice(),
@@ -492,7 +483,7 @@ impl TrainingQuantizer {
                         |first_block, band| {
                             let start = first_block * k;
                             let mut local = QuantScratch::new();
-                            fake_quantize_hqt_band(
+                            fake_quantize_band(
                                 &data[start..start + band.len()],
                                 band,
                                 k,
@@ -508,9 +499,10 @@ impl TrainingQuantizer {
     }
 }
 
-/// Fake-quantizes a contiguous band of whole HQT blocks (the final block
-/// may be ragged) from `src` into `dst` with the fused per-block kernels.
-fn fake_quantize_hqt_band(
+/// Fake-quantizes `src` into `dst` block by block with the fused
+/// per-block kernels: a band of whole HQT blocks (the final block may be
+/// ragged), or for layer-wise schemes one block spanning the tensor.
+fn fake_quantize_band(
     src: &[f32],
     dst: &mut [f32],
     block_size: usize,
@@ -520,18 +512,16 @@ fn fake_quantize_hqt_band(
 ) {
     debug_assert_eq!(src.len(), dst.len());
     for (xb, ob) in src.chunks(block_size).zip(dst.chunks_mut(block_size)) {
-        match multiplex {
-            None => {
-                let theta = fast::block_theta(xb);
-                fast::fake_quantize_block(xb, QuantParams::symmetric(theta, format), ob);
-            }
+        let theta = fast::block_theta(xb);
+        let params = match multiplex {
+            None => QuantParams::symmetric(theta, format),
             Some(m) => {
-                let theta = fast::block_theta(xb);
                 m.candidate_params_into(theta, &mut scratch.params);
                 let way = fast::eval_candidates_shared(xb, m.estimator(), scratch);
-                fast::emit_winner(scratch, way, xb.len(), ob);
+                scratch.params[way]
             }
-        }
+        };
+        fast::fake_quantize_block(xb, params, ob);
     }
 }
 

@@ -341,18 +341,16 @@ impl E2bqmQuantizer {
         out
     }
 
-    /// Fused E²BQM on one raw block slice: θ, all candidate codes and all
-    /// error accumulators in a single pass, reusing `scratch`.
+    /// Fused E²BQM on one raw block slice: θ and all error accumulators
+    /// in a single sweep, reusing `scratch`; only the winner's codes are
+    /// formed.
     fn quantize_block_fused(&self, x: &[f32], scratch: &mut QuantScratch) -> E2bqmSelection {
         let theta = fast::block_theta(x);
         self.candidate_params_into(theta, &mut scratch.params);
         let way = fast::eval_candidates_shared(x, self.estimator, scratch);
-        let n = x.len();
-        let selected = QuantizedTensor::from_codes(
-            scratch.qvals[way * n..(way + 1) * n].to_vec(),
-            scratch.params[way],
-            &[n],
-        );
+        let mut codes = Vec::with_capacity(x.len());
+        fast::quantize_codes_into(x, scratch.params[way], &mut codes);
+        let selected = QuantizedTensor::from_codes(codes, scratch.params[way], &[x.len()]);
         E2bqmSelection {
             selected,
             way,

@@ -9,25 +9,41 @@
 //! path, quantization dominates the step the way the paper's Fig. 3 says
 //! it does on GPUs.
 //!
-//! This module provides the fused equivalents:
+//! This module provides the fused equivalents, built on one rule:
+//! **fake-quantization never turns a value into an integer code.** The
+//! reference computes `round((x − α)/β) as i64`, clamps, and converts the
+//! code back to f32. Rust's saturating f32→i32 cast has no vector form on
+//! the baseline x86-64 target, so any loop that contains it is
+//! scalarized (`cvttss2si` per element). The kernels here round, clamp to
+//! `[qmin, qmax]` and send NaN to 0 in f32 (`round_clamp`) and go
+//! straight on to `r·β + α`; every step is an add, compare or select, and
+//! the loops vectorize.
 //!
-//! * **LDQ**: θ and the quantized codes are produced while the block is
-//!   cache-resident — one read of the source slice, codes written straight
-//!   to the destination, no intermediate block tensors. The round/clamp
-//!   inner loop compiles branch-free (`round` + integer `clamp` lower to
-//!   conditional moves).
-//! * **E²BQM shared statistics**: all N candidates are evaluated in a
-//!   single pass over the block. Each candidate owns an error accumulator
-//!   updated per element; candidate codes land in a reused scratch matrix
-//!   so the winner is emitted without requantizing.
+//! * **LDQ**: θ and the fake-quantized values (or codes) are produced
+//!   while the block is cache-resident — one read of the source slice,
+//!   results written straight to the destination, no intermediate block
+//!   tensors.
+//! * **E²BQM shared statistics**: all N candidates are evaluated in one
+//!   sweep over the block, chunk by chunk. Per way, a vectorized store
+//!   pass writes the chunk's fake-quantized values into a small scratch
+//!   row; a fold pass then feeds four ways' error accumulators side by
+//!   side, element-major, so four dependency chains interleave instead of
+//!   running one after another. The winner is re-emitted from the source
+//!   data, so no candidate codes are ever stored.
+//! * **Codes only for the winner**: where codes are the output (LDQ
+//!   blocks, E²BQM selections, the integer-domain base codes), the
+//!   clamped integral f32 is converted with the 1.5·2²³ magic-number add
+//!   (`exact_i32`) — exact because every code has magnitude ≤ 2²².
 //! * **[`QuantScratch`]**: an arena holding the candidate parameter set,
-//!   the code matrix and the accumulators, so steady-state calls allocate
-//!   nothing.
+//!   the candidate rows and the accumulators, so steady-state calls
+//!   allocate nothing.
 //!
 //! # Bit-identity contract
 //!
 //! Every kernel here reproduces the naive path's arithmetic *and
-//! accumulation order* exactly: per-accumulator contributions arrive in
+//! accumulation order* exactly: the float-domain code equals the
+//! reference's integer code for every f32 input (NaN, ±∞ and values past
+//! the clamp included), per-accumulator contributions arrive in
 //! ascending element order, θ uses the same `f32::max` fold, candidate
 //! generation the same [`QuantParams`] construction, and arbitration the
 //! same first-minimum [`f64::total_cmp`] rule. Block-level parallelism is
@@ -46,11 +62,20 @@ pub const PAR_MIN_ELEMS: usize = 1 << 16;
 /// Minimum number of blocks handed to one pool worker.
 pub const PAR_MIN_BLOCKS: usize = 4;
 
+/// Elements per store/fold round of [`eval_candidates_shared`]: one SQU
+/// block, so an HQT block is a single chunk and the candidate rows
+/// (`LANES × CHUNK` f32, 16 KB) stay in L1 however long a layer-wise
+/// tensor is.
+const CHUNK: usize = 1024;
+
+/// Candidate ways whose error accumulators are folded side by side.
+const LANES: usize = 4;
+
 /// Reusable scratch arena for the fused quantization kernels.
 ///
 /// Thread one instance through repeated quantization calls (e.g. per
 /// training step) and the steady state performs zero heap allocations:
-/// the candidate parameter set, the per-candidate code matrix, the error
+/// the candidate parameter set, the candidate rows, the error
 /// accumulators and the error vector are all reused across calls.
 ///
 /// # Examples
@@ -71,11 +96,12 @@ pub struct QuantScratch {
     /// Candidate parameter set (ways entries), regenerated per block but
     /// never reallocated.
     pub(crate) params: Vec<QuantParams>,
-    /// Candidate code matrix, way-major: `qvals[w * n + i]` is candidate
-    /// `w`'s code for element `i`.
-    pub(crate) qvals: Vec<i32>,
-    /// Shared quotients `x[i] / scale₀` when the candidate set admits the
-    /// one-division path (see [`pow2_multiplier`]).
+    /// Fake-quantized values of the current chunk for the ways of the
+    /// current lane group: row `l` is `rows[l * len..(l + 1) * len]`.
+    pub(crate) rows: Vec<f32>,
+    /// Shared quotients `x[i] / scale₀` of the current chunk when the
+    /// candidate set admits the one-division path (see
+    /// [`pow2_multiplier`]).
     pub(crate) ybuf: Vec<f32>,
     /// Per-way power-of-two multipliers for the one-division path.
     pub(crate) mults: Vec<f32>,
@@ -147,24 +173,100 @@ pub fn effective_theta(theta: f32) -> f32 {
 /// 2²³ — above this every f32 magnitude is already integral.
 const ROUND_MAGIC: f32 = 8_388_608.0;
 
-/// Branch-free round-half-away-from-zero, bit-identical to [`f32::round`]
-/// over the entire f32 bit space (verified exhaustively — all 2³²
-/// patterns — when this kernel was written; `round_matches_std_round`
-/// keeps a stratified sample of that check in the suite).
+/// Round-half-away-from-zero of a magnitude `a ≥ 0`, exact for `a < 2²³`
+/// and never below 2²³ for larger `a` (∞ included). Magic-number
+/// round-to-nearest-even, then exact .5 ties pushed away from zero with a
+/// select: all adds/compares/selects, which LLVM vectorizes.
 ///
 /// `f32::round` lowers to `llvm.round.f32`, which the x86-64 baseline
-/// expands to a scalar sequence the auto-vectorizer refuses to touch —
-/// it is the single most expensive step of the naive quantize loop. This
-/// formulation (magic-number round-to-nearest-even, then pushing exact
-/// .5 ties away from zero with a select) is all adds/compares/selects,
-/// which LLVM vectorizes freely inside the block kernels below.
+/// expands to a scalar sequence the auto-vectorizer refuses to touch.
 #[inline]
+fn round_magnitude(a: f32) -> f32 {
+    let t = (a + ROUND_MAGIC) - ROUND_MAGIC;
+    if a - t == 0.5 {
+        t + 1.0
+    } else {
+        t
+    }
+}
+
+/// Round-half-away-from-zero built on [`round_magnitude`], bit-identical
+/// to [`f32::round`] over the entire f32 bit space (verified exhaustively
+/// — all 2³² patterns — when the kernel was written;
+/// `round_matches_std_round` keeps a stratified sample of that check).
+/// The kernels call [`round_clamp`], which skips the `a < 2²³`
+/// pass-through because its clamp pins those values anyway.
+#[cfg(test)]
 pub(crate) fn fast_round(y: f32) -> f32 {
     let a = y.abs();
-    let t = (a + ROUND_MAGIC) - ROUND_MAGIC;
-    let u = if a - t == 0.5 { t + 1.0 } else { t };
-    let r = if a < ROUND_MAGIC { u } else { a };
+    let r = if a < ROUND_MAGIC {
+        round_magnitude(a)
+    } else {
+        a
+    };
     r.copysign(y)
+}
+
+/// `round(y)` clamped to `[−bound, bound]`, as the integral f32 of the
+/// code the reference's `(round(y) as i64).clamp(−bound, bound)`
+/// produces, for every f32 `y` and integral `0 ≤ bound ≤ 2²²`: values
+/// past either bound (±∞ included) clamp to it, NaN becomes 0 as the
+/// saturating cast makes it, and a −0 from rounding a small negative value
+/// becomes the +0 that code 0 converts to (`+ 0.0` changes no other
+/// value).
+///
+/// Verified exhaustively — all 2³² patterns, with `exact_i32` on top, for
+/// every format's `qmax` and the integer-domain bounds 1016 and 16256 —
+/// when it was written; the `quantize_one` and `base_code` unit tests
+/// keep stratified samples. The magnitude is rounded and clamped before
+/// the sign is restored, so every step is an f32 add, compare or select
+/// and the callers' loops vectorize — unlike an integer cast (module
+/// docs).
+#[inline]
+pub(crate) fn round_clamp(y: f32, bound: f32) -> f32 {
+    let m = round_magnitude(y.abs());
+    let r = if m > bound { bound } else { m }.copysign(y);
+    if y.is_nan() {
+        0.0
+    } else {
+        r + 0.0
+    }
+}
+
+/// 1.5·2²³: adding it to an integral f32 `r` with `|r| ≤ 2²²` lands in
+/// `[2²³, 2²⁴]`, where the ulp is 1, so the sum is exact and its bit
+/// pattern is `CODE_MAGIC`'s plus `r`.
+const CODE_MAGIC: f32 = 12_582_912.0;
+
+/// The exact i32 of an integral f32 with magnitude ≤ 2²² (every code of
+/// every format, and every integer-domain base code, qualifies) — a
+/// vectorizable replacement for the saturating `as i32` cast.
+#[inline]
+pub(crate) fn exact_i32(r: f32) -> i32 {
+    (r + CODE_MAGIC).to_bits() as i32 - CODE_MAGIC.to_bits() as i32
+}
+
+/// `qmax` of `p`'s (symmetric) format as the [`round_clamp`] bound.
+#[inline]
+fn code_bound(p: QuantParams) -> f32 {
+    p.format.qmax() as f32
+}
+
+/// Bit-identical, vectorizable equivalent of [`QuantParams::quantize`]:
+/// same subtraction/division, the float-domain [`round_clamp`], then the
+/// exact [`exact_i32`] conversion.
+#[inline]
+fn quantize_one(p: QuantParams, bound: f32, v: f32) -> i32 {
+    exact_i32(round_clamp((v - p.offset) / p.scale, bound))
+}
+
+/// `p.dequantize(p.quantize(v))` computed in f32 without the integer
+/// round trip, bitwise equal for every f32 `v`: [`round_clamp`] yields
+/// exactly `code as f32`, so `r·scale + offset` is the reference's
+/// dequantization.
+#[inline]
+fn fake_quantize_one(p: QuantParams, bound: f32, v: f32) -> f32 {
+    round_clamp((v - p.offset) / p.scale, bound) * p.scale + p.offset
 }
 
 /// Returns the multiplier `m` such that `v / scale_w == (v / scale0) * m`
@@ -180,8 +282,9 @@ pub(crate) fn fast_round(y: f32) -> f32 {
 /// subnormal range, so gradual underflow cannot break the commutation).
 /// The one place the shortcut can produce different bits — a subnormal
 /// quotient `v/scale0` losing low bits before the scale-up — only yields
-/// values below 2⁻¹⁰⁰, which [`fast_round`] sends to ±0 either way, so
-/// the *codes* (the only consumer) are still identical. Degenerate or
+/// values below 2⁻¹⁰⁰, which round to ±0 either way, so the *codes* —
+/// and the fake-quantized values, which depend on nothing else — are
+/// still identical. Degenerate or
 /// subnormal scales simply fail the check and take the per-way division
 /// path.
 ///
@@ -202,45 +305,36 @@ pub fn pow2_multiplier(scale0: f32, scale_w: f32) -> Option<f32> {
     }
 }
 
-/// Bit-identical, vectorizable equivalent of [`QuantParams::quantize`]:
-/// same subtraction/division, [`fast_round`] instead of the scalar
-/// `round` expansion, and a saturating f32→i32 cast + i32 clamp in place
-/// of the reference's i64 round trip (identical for every input because
-/// `[qmin, qmax] ⊂ i32` — values past either i32 bound saturate and then
-/// clamp to the same endpoint, and NaN casts to 0 in both widths).
-#[inline]
-fn quantize_one(p: QuantParams, qmin: i32, qmax: i32, v: f32) -> i32 {
-    (fast_round((v - p.offset) / p.scale) as i32).clamp(qmin, qmax)
-}
-
 /// Fused LDQ block kernel: quantizes `x` with `params`, appending the
-/// codes to `codes`. The division/round/clamp sequence is branch-free.
+/// codes to `codes`.
 #[inline]
 pub(crate) fn quantize_codes_into(x: &[f32], params: QuantParams, codes: &mut Vec<i32>) {
-    let (qmin, qmax) = (params.format.qmin(), params.format.qmax());
+    let bound = code_bound(params);
     // Resize + slice write (not `extend`): the per-push capacity check
     // inside `extend` keeps LLVM from vectorizing the quantize loop.
     let start = codes.len();
     codes.resize(start + x.len(), 0);
     for (c, &v) in codes[start..].iter_mut().zip(x) {
-        *c = quantize_one(params, qmin, qmax, v);
+        *c = quantize_one(params, bound, v);
     }
 }
 
-/// Fused LDQ fake-quantize kernel: writes `dequantize(quantize(x))` for
-/// one block straight into `out` (no intermediate codes).
+/// Fused fake-quantize kernel: writes `dequantize(quantize(x))` for one
+/// block straight into `out`, without forming integer codes.
 #[inline]
 pub(crate) fn fake_quantize_block(x: &[f32], params: QuantParams, out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
-    let (qmin, qmax) = (params.format.qmin(), params.format.qmax());
+    let bound = code_bound(params);
     for (o, &v) in out.iter_mut().zip(x) {
-        *o = params.dequantize(quantize_one(params, qmin, qmax, v));
+        *o = fake_quantize_one(params, bound, v);
     }
 }
 
-/// Shared-statistics E²BQM evaluation: one pass over `x` computes every
-/// candidate's codes (into `scratch.qvals`, way-major) and estimated error
-/// (into `scratch.errors`), then returns the winning way.
+/// Shared-statistics E²BQM evaluation: one sweep over `x` computes every
+/// candidate's estimated error (into `scratch.errors`) and returns the
+/// winning way. Callers re-emit the winner from `x` with
+/// [`fake_quantize_block`] or [`quantize_codes_into`] and
+/// `scratch.params[way]`.
 ///
 /// `scratch.params` must already hold the candidate set (see
 /// [`crate::E2bqmQuantizer::candidate_params_into`]).
@@ -255,14 +349,7 @@ pub(crate) fn eval_candidates_shared(
     estimator: ErrorEstimator,
     scratch: &mut QuantScratch,
 ) -> usize {
-    let ways = scratch.params.len();
     let n = x.len();
-    // Same-size resize is a no-op, so steady-state calls (equal-sized
-    // blocks) never touch the allocator or re-zero the matrix — every
-    // in-range slot is overwritten below.
-    scratch.qvals.resize(ways * n, 0);
-    scratch.acc.clear();
-    scratch.acc.resize(ways, EstAcc::default());
 
     // Statistic over the original data, shared by all candidates. The
     // naive path recomputes it per candidate (`x.norm()`, `x.mean()`);
@@ -303,72 +390,57 @@ pub(crate) fn eval_candidates_shared(
             _ => false,
         }
     };
-    if shared {
-        let s0 = scratch.params[0].scale;
-        scratch.ybuf.resize(n, 0.0);
-        for (y, &v) in scratch.ybuf.iter_mut().zip(x) {
-            *y = v / s0;
-        }
-    }
 
-    // Way-major evaluation over the cache-resident block. Per candidate,
-    // a store pass writes the codes (no loop-carried dependency, so the
-    // round/divide work vectorizes), then a fold pass runs the
-    // estimator's serial accumulation, dequantizing each code inline —
-    // the cast/multiply/add sits off the accumulator's latency chain, so
-    // it pipelines for free and the intermediate dequantized buffer (and
-    // its store/load traffic) disappears. Per accumulator, contributions
-    // arrive in ascending element order, so the sums are bitwise equal to
-    // the naive per-candidate quantize → dequantize → estimate round
-    // trips.
-    for (w, &p) in scratch.params.iter().enumerate() {
-        let codes = &mut scratch.qvals[w * n..(w + 1) * n];
-        let (qmin, qmax) = (p.format.qmin(), p.format.qmax());
-        if shared {
-            let m = scratch.mults[w];
-            for (c, &y) in codes.iter_mut().zip(&scratch.ybuf) {
-                *c = (fast_round(y * m) as i32).clamp(qmin, qmax);
+    // Ways are evaluated in groups of `LANES`, each group in one sweep
+    // over the block, chunk by chunk. Per way, a store pass writes the
+    // chunk's fake-quantized values into its row (no loop-carried
+    // dependency, so the divide/round/clamp work vectorizes); then the
+    // fold feeds the group's accumulators element by element, side by
+    // side. Each accumulator still takes its contributions in ascending
+    // element order, so the sums are bitwise equal to the naive
+    // per-candidate quantize → dequantize → estimate round trips; the
+    // four chains just overlap. A short last group leaves its spare rows
+    // unwritten and drops their sums.
+    scratch.acc.clear();
+    let QuantScratch {
+        params,
+        rows,
+        ybuf,
+        mults,
+        acc,
+        ..
+    } = scratch;
+    let chunk = n.min(CHUNK);
+    rows.resize(LANES * chunk, 0.0);
+    if shared {
+        ybuf.resize(chunk, 0.0);
+    }
+    for (g, group) in params.chunks(LANES).enumerate() {
+        let mut lanes = [EstAcc::default(); LANES];
+        for xc in x.chunks(CHUNK) {
+            let len = xc.len();
+            if shared {
+                let s0 = params[0].scale;
+                for (y, &v) in ybuf.iter_mut().zip(xc) {
+                    *y = v / s0;
+                }
             }
-        } else {
-            for (c, &v) in codes.iter_mut().zip(x) {
-                *c = quantize_one(p, qmin, qmax, v);
+            for (l, (row, &p)) in rows.chunks_exact_mut(len).zip(group).enumerate() {
+                let bound = code_bound(p);
+                if shared {
+                    let m = mults[g * LANES + l];
+                    for (d, &y) in row.iter_mut().zip(&ybuf[..len]) {
+                        *d = round_clamp(y * m, bound) * p.scale + p.offset;
+                    }
+                } else {
+                    for (d, &v) in row.iter_mut().zip(xc) {
+                        *d = fake_quantize_one(p, bound, v);
+                    }
+                }
             }
+            fold_rows(estimator, &mut lanes, xc, &rows[..LANES * len]);
         }
-        let codes = &scratch.qvals[w * n..(w + 1) * n];
-        match estimator {
-            ErrorEstimator::Rectilinear => {
-                let mut s = 0.0f32;
-                for (&v, &c) in x.iter().zip(codes) {
-                    s += (v - p.dequantize(c)).abs();
-                }
-                scratch.acc[w].a32 = s;
-            }
-            ErrorEstimator::Cosine => {
-                let (mut dot, mut nsq) = (0.0f32, 0.0f32);
-                for (&v, &c) in x.iter().zip(codes) {
-                    let d = p.dequantize(c);
-                    dot += v * d;
-                    nsq += d * d;
-                }
-                scratch.acc[w].a32 = dot;
-                scratch.acc[w].b32 = nsq;
-            }
-            ErrorEstimator::MeanBias => {
-                let mut s = 0.0f32;
-                for &c in codes {
-                    s += p.dequantize(c);
-                }
-                scratch.acc[w].a32 = s;
-            }
-            ErrorEstimator::Mse => {
-                let mut s = 0.0f64;
-                for (&v, &c) in x.iter().zip(codes) {
-                    let e = (v - p.dequantize(c)) as f64;
-                    s += e * e;
-                }
-                scratch.acc[w].a64 = s;
-            }
-        }
+        acc.extend_from_slice(&lanes[..group.len()]);
     }
 
     scratch.errors.clear();
@@ -409,16 +481,45 @@ pub(crate) fn eval_candidates_shared(
         .unwrap_or(0)
 }
 
-/// Dequantizes candidate `way`'s codes (from the scratch code matrix)
-/// into `out` — the zero-allocation winner emission used by the fused
-/// fake-quantize path.
+/// Adds one chunk's error terms to the lane accumulators: `rows` holds
+/// `LANES` rows of `x.len()` fake-quantized values, and lane `l` takes
+/// the estimator's term for `(x[j], rows[l][j])` for each `j` in turn.
 #[inline]
-pub(crate) fn emit_winner(scratch: &QuantScratch, way: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), n);
-    let p = scratch.params[way];
-    let codes = &scratch.qvals[way * n..(way + 1) * n];
-    for (o, &q) in out.iter_mut().zip(codes) {
-        *o = p.dequantize(q);
+fn fold_rows(estimator: ErrorEstimator, lanes: &mut [EstAcc; LANES], x: &[f32], rows: &[f32]) {
+    let len = x.len();
+    let rows: [&[f32]; LANES] = std::array::from_fn(|l| &rows[l * len..][..len]);
+    match estimator {
+        ErrorEstimator::Rectilinear => {
+            for (j, &v) in x.iter().enumerate() {
+                for (a, r) in lanes.iter_mut().zip(&rows) {
+                    a.a32 += (v - r[j]).abs();
+                }
+            }
+        }
+        ErrorEstimator::Cosine => {
+            for (j, &v) in x.iter().enumerate() {
+                for (a, r) in lanes.iter_mut().zip(&rows) {
+                    let d = r[j];
+                    a.a32 += v * d;
+                    a.b32 += d * d;
+                }
+            }
+        }
+        ErrorEstimator::MeanBias => {
+            for j in 0..len {
+                for (a, r) in lanes.iter_mut().zip(&rows) {
+                    a.a32 += r[j];
+                }
+            }
+        }
+        ErrorEstimator::Mse => {
+            for (j, &v) in x.iter().enumerate() {
+                for (a, r) in lanes.iter_mut().zip(&rows) {
+                    let e = (v - r[j]) as f64;
+                    a.a64 += e * e;
+                }
+            }
+        }
     }
 }
 
@@ -467,22 +568,39 @@ mod tests {
 
     #[test]
     fn quantize_one_matches_quant_params() {
+        // Every 2¹⁶th bit pattern: NaNs, ±∞, ±0, subnormals and values
+        // far past the clamp all appear. Codes must match the reference
+        // exactly, fake-quantized values bit for bit.
         for p in [
             QuantParams::symmetric(1.0, IntFormat::Int8),
             QuantParams::symmetric(37.5, IntFormat::Int4),
             QuantParams::symmetric(1e-30, IntFormat::Int16),
             QuantParams::symmetric(3e30, IntFormat::Int12),
+            QuantParams {
+                scale: 0.75,
+                offset: -0.0,
+                format: IntFormat::Int8,
+            },
         ] {
-            let (qmin, qmax) = (p.format.qmin(), p.format.qmax());
+            let bound = code_bound(p);
             for step in 0..(1u64 << 16) {
                 let v = f32::from_bits((step << 16) as u32);
+                assert_eq!(quantize_one(p, bound, v), p.quantize(v), "v={v:e} p={p:?}");
                 assert_eq!(
-                    quantize_one(p, qmin, qmax, v),
-                    p.quantize(v),
+                    fake_quantize_one(p, bound, v).to_bits(),
+                    p.dequantize(p.quantize(v)).to_bits(),
                     "v={v:e} p={p:?}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn exact_i32_converts_every_code() {
+        for r in -(1i32 << 22)..=(1 << 22) {
+            assert_eq!(exact_i32(r as f32), r);
+        }
+        assert_eq!(exact_i32(-0.0), 0);
     }
 
     #[test]
@@ -511,11 +629,9 @@ mod tests {
         let way = eval_candidates_shared(&data, q.estimator(), &mut scratch);
         assert_eq!(way, naive.way);
         assert_eq!(scratch.errors, naive.errors);
-        let n = data.len();
-        assert_eq!(
-            &scratch.qvals[way * n..(way + 1) * n],
-            naive.selected.values()
-        );
+        let mut codes = Vec::new();
+        quantize_codes_into(&data, scratch.params[way], &mut codes);
+        assert_eq!(codes, naive.selected.values());
     }
 
     #[test]
@@ -525,12 +641,12 @@ mod tests {
         let mut scratch = QuantScratch::new();
         q.candidate_params_into(1.0, &mut scratch.params);
         let _ = eval_candidates_shared(&data, q.estimator(), &mut scratch);
-        let (p0, q0) = (scratch.params.as_ptr(), scratch.qvals.as_ptr());
+        let (p0, r0) = (scratch.params.as_ptr(), scratch.rows.as_ptr());
         for _ in 0..4 {
             q.candidate_params_into(0.7, &mut scratch.params);
             let _ = eval_candidates_shared(&data, q.estimator(), &mut scratch);
         }
         assert_eq!(scratch.params.as_ptr(), p0, "params buffer reallocated");
-        assert_eq!(scratch.qvals.as_ptr(), q0, "code matrix reallocated");
+        assert_eq!(scratch.rows.as_ptr(), r0, "candidate rows reallocated");
     }
 }

@@ -209,12 +209,12 @@ impl IntDomainQuantizer {
         // The only f32 loop: one base quantization at the finest scale.
         // |x| ≤ θ keeps |y| within qmax·2^(W−1) up to division rounding;
         // the clamp pins the boundary (and sends NaN elements to 0).
-        let bound = qmax * top;
-        scratch.ybuf.clear();
-        scratch.ybuf.extend(
-            x.iter()
-                .map(|&v| (fast::fast_round(v / s_base) as i32).clamp(-bound, bound)),
-        );
+        // Resize + slice write, as in `fast::quantize_codes_into`.
+        let bound = (qmax * top) as f32;
+        scratch.ybuf.resize(x.len(), 0);
+        for (y, &v) in scratch.ybuf.iter_mut().zip(x) {
+            *y = base_code(v, s_base, bound);
+        }
 
         // Pure-integer candidate evaluation, way-major: one branch-free
         // reduction pass per way with that way's shift count held
@@ -305,6 +305,15 @@ impl IntDomainQuantizer {
     }
 }
 
+/// The base code `clamp(round(v / s_base), −bound, bound)` with NaN → 0,
+/// rounded and clamped in f32 and converted exactly (`bound` is at most
+/// `127 · 2^(MAX_WAYS−1)`, far inside the conversion's 2²² range), so the
+/// loop that calls it vectorizes.
+#[inline]
+fn base_code(v: f32, s_base: f32, bound: f32) -> i32 {
+    fast::exact_i32(fast::round_clamp(v / s_base, bound))
+}
+
 /// Integer round-half-away-from-zero of a non-negative magnitude by `t`
 /// binary places: `(m + 2^(t−1)) >> t`, with `t = 0` the identity.
 #[inline]
@@ -330,6 +339,30 @@ mod tests {
         assert_eq!(shift_round(6, 2), 2); // 1.5 → 2
         assert_eq!(shift_round(1016, 3), 127);
         assert_eq!(shift_round(7, 0), 7);
+    }
+
+    #[test]
+    fn base_codes_match_saturating_cast() {
+        // Stratified sample of the f32 bit space (every 2¹⁰th pattern:
+        // NaNs, ±∞, ±0, subnormals, .5 ties and |v| ≥ 2²³ among them),
+        // against the saturating-cast formulation the magic-number
+        // conversion replaced, at the extreme ladder bounds.
+        for (s_base, bound) in [
+            (0.01f32, 127 * 8),
+            (1.0, 127 * 128),
+            (3.1e-5, 127),
+            (7.5e30, 7),
+        ] {
+            for step in 0..(1u64 << 22) {
+                let v = f32::from_bits((step << 10) as u32);
+                let old = (fast::fast_round(v / s_base) as i32).clamp(-bound, bound);
+                assert_eq!(
+                    base_code(v, s_base, bound as f32),
+                    old,
+                    "v={v:e} s_base={s_base:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use cq_par::Pool;
 use cq_quant::{
-    CandidateStrategy, E2bqmQuantizer, ErrorEstimator, IntFormat, LdqConfig, LdqTensor,
-    QuantScratch, TrainingQuantizer,
+    CandidateStrategy, E2bqmQuantizer, E2bqmSelection, ErrorEstimator, IntFormat, LdqConfig,
+    LdqTensor, QuantScratch, TrainingQuantizer,
 };
 use cq_tensor::{Backend, Tensor};
 use proptest::prelude::*;
@@ -28,13 +28,66 @@ fn finite_f32() -> impl Strategy<Value = f32> {
     ]
 }
 
+/// The inputs on which a float-domain kernel could part from the integer
+/// reference: NaN, ±0, subnormals, exact .5 ties, |x| ≥ 2²³ and ±∞.
+/// Ties are half-integers: exact ties of the quotient whenever the block
+/// scale is 1, which an anchor at ±127 gives INT8 and a ±∞ (degenerate
+/// θ) gives every format. The two extremes are rare, so most blocks
+/// still have a finite θ below them.
+fn edge_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        (-100.0f32..100.0),
+        (-0.01f32..0.01),
+        Just(-0.0f32),
+        Just(f32::NAN),
+        (1u32..0x0080_0000, 0u32..2).prop_map(|(m, s)| f32::from_bits(m | s << 31)),
+        (-127i32..127).prop_map(|k| k as f32 + 0.5),
+        (0u32..2).prop_map(|s| if s == 0 { 127.0f32 } else { -127.0 }),
+        // ±∞ one time in 256, |x| ≥ 2²³ three times; else a half-integer.
+        (0u32..256, 8_388_608.0f32..3e38, 0u32..2).prop_map(|(r, big, s)| {
+            let v = match r {
+                0 => f32::INFINITY,
+                1..=3 => big,
+                _ => r as f32 - 127.5,
+            };
+            if s == 1 {
+                -v
+            } else {
+                v
+            }
+        }),
+    ]
+}
+
 /// Tensors from empty up to a few blocks' worth, so ragged tails, exact
-/// multiples and sub-block tensors all appear.
+/// multiples and sub-block tensors all appear; half of them mix in the
+/// edge values.
 fn tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
-    prop::collection::vec(finite_f32(), 0..max_len).prop_map(|v| {
+    let finite = prop::collection::vec(finite_f32(), 0..max_len);
+    let edge = prop::collection::vec(edge_f32(), 0..max_len);
+    prop_oneof![finite, edge].prop_map(|v| {
         let n = v.len();
         Tensor::from_vec(v, &[n]).expect("len matches")
     })
+}
+
+/// Selections compared field by field with the estimated errors as bit
+/// patterns: NaN errors (any block holding a NaN) must match too.
+fn same_selections(a: &[E2bqmSelection], b: &[E2bqmSelection]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.selected == y.selected
+                && x.way == y.way
+                && x.errors.len() == y.errors.len()
+                && x.errors
+                    .iter()
+                    .zip(&y.errors)
+                    .all(|(e, f)| e.to_bits() == f.to_bits())
+        })
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn any_format() -> impl Strategy<Value = IntFormat> {
@@ -46,22 +99,18 @@ fn any_format() -> impl Strategy<Value = IntFormat> {
     ]
 }
 
-fn any_estimator() -> impl Strategy<Value = ErrorEstimator> {
-    prop_oneof![
-        Just(ErrorEstimator::Rectilinear),
-        Just(ErrorEstimator::Cosine),
-        Just(ErrorEstimator::MeanBias),
-        Just(ErrorEstimator::Mse),
-    ]
-}
+const ESTIMATORS: [ErrorEstimator; 4] = [
+    ErrorEstimator::Rectilinear,
+    ErrorEstimator::Cosine,
+    ErrorEstimator::MeanBias,
+    ErrorEstimator::Mse,
+];
 
-fn any_strategy() -> impl Strategy<Value = CandidateStrategy> {
-    prop_oneof![
-        Just(CandidateStrategy::ClipSweep),
-        Just(CandidateStrategy::ShiftableFxp),
-        Just(CandidateStrategy::FormatSweep),
-    ]
-}
+const STRATEGIES: [CandidateStrategy; 3] = [
+    CandidateStrategy::ClipSweep,
+    CandidateStrategy::ShiftableFxp,
+    CandidateStrategy::FormatSweep,
+];
 
 proptest! {
     /// LDQ: fused serial and pooled (1 and 4 workers) paths are
@@ -94,28 +143,27 @@ proptest! {
     }
 
     /// E²BQM: fused evaluation reproduces the naive selections exactly —
-    /// same winning way, bitwise-equal error vector, identical codes.
+    /// same winning way, bitwise-equal error vector, identical codes —
+    /// for every estimator, candidate strategy and format on each tensor.
     #[test]
     fn e2bqm_fast_matches_naive(
         t in tensor_strategy(520),
         block in 1usize..260,
-        ways in 1usize..5,
-        strategy in any_strategy(),
-        estimator in any_estimator(),
-        fmt in any_format(),
+        ways in 1usize..6,
     ) {
-        let q = E2bqmQuantizer::new(ways, strategy, estimator, fmt);
-        let naive = q.quantize_blocks_naive(&t, block);
-        let fast = q.quantize_blocks_with(&t, block, Backend::Fast);
-        prop_assert_eq!(&naive, &fast);
-        for threads in [1usize, 4] {
-            let pooled = q.quantize_blocks_fast_on(&Pool::new(threads), &t, block);
-            prop_assert_eq!(&naive, &pooled);
-        }
-        // Errors are compared bitwise, not approximately.
-        for (a, b) in naive.iter().zip(&fast) {
-            for (ea, eb) in a.errors.iter().zip(&b.errors) {
-                prop_assert_eq!(ea.to_bits(), eb.to_bits());
+        for strategy in STRATEGIES {
+            for estimator in ESTIMATORS {
+                for fmt in IntFormat::ALL {
+                    let q = E2bqmQuantizer::new(ways, strategy, estimator, fmt);
+                    let naive = q.quantize_blocks_naive(&t, block);
+                    let fast = q.quantize_blocks_with(&t, block, Backend::Fast);
+                    // Errors are compared bitwise, not approximately.
+                    prop_assert!(same_selections(&naive, &fast), "{q:?}: {naive:?} != {fast:?}");
+                    for threads in [1usize, 4] {
+                        let pooled = q.quantize_blocks_fast_on(&Pool::new(threads), &t, block);
+                        prop_assert!(same_selections(&naive, &pooled), "{q:?}, {threads} workers");
+                    }
+                }
             }
         }
     }
@@ -136,16 +184,15 @@ proptest! {
             5 => TrainingQuantizer::zhong2020(),
             _ => TrainingQuantizer::ldq_only(96, IntFormat::Int8),
         };
-        let naive = q.fake_quantize_naive(&t);
-        let fast = q.fake_quantize_fast(&t);
-        prop_assert_eq!(naive.data(), fast.data());
+        let naive = bits(q.fake_quantize_naive(&t).data());
+        prop_assert_eq!(&naive, &bits(q.fake_quantize_fast(&t).data()));
 
         // Scratch reuse across calls must not change results.
         let mut out = Vec::new();
         let mut scratch = QuantScratch::new();
         for _ in 0..2 {
             q.fake_quantize_into(&t, &mut out, &mut scratch);
-            prop_assert_eq!(naive.data(), out.as_slice());
+            prop_assert_eq!(&naive, &bits(&out));
         }
     }
 
@@ -210,17 +257,8 @@ fn subnormal_blocks_agree() {
         LdqTensor::quantize_with(&t, cfg, Backend::Fast)
     );
 
-    for strategy in [
-        CandidateStrategy::ClipSweep,
-        CandidateStrategy::ShiftableFxp,
-        CandidateStrategy::FormatSweep,
-    ] {
-        for estimator in [
-            ErrorEstimator::Rectilinear,
-            ErrorEstimator::Cosine,
-            ErrorEstimator::MeanBias,
-            ErrorEstimator::Mse,
-        ] {
+    for strategy in STRATEGIES {
+        for estimator in ESTIMATORS {
             let q = E2bqmQuantizer::new(4, strategy, estimator, IntFormat::Int8);
             let naive = q.quantize_blocks_naive(&t, 24);
             let fast = q.quantize_blocks_with(&t, 24, Backend::Fast);
