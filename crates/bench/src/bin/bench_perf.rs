@@ -299,9 +299,9 @@ fn bench_cnn() -> (Sequential, Tensor, Vec<usize>) {
 
 /// The dequantization-free integer datapath against the f32 fast path
 /// on identical operand values: `ns_naive` is the blocked f32 SIMD GEMM
-/// and `ns_fast` is `gemm_i8` (i8×i8→i32, k-pair packed i16 madd), both
-/// pinned to a one-worker pool so the ratio is host-independent and
-/// gateable, like the `-serial` quant entries. The f32 operands are
+/// and `ns_fast` is its i8 instantiation (i8×i8→i32, k-pair packed i16
+/// madd), both pinned to a one-worker pool so the ratio is
+/// host-independent and gateable, like the `-serial` quant entries. The f32 operands are
 /// exact images of the i8 codes, so both sides compute the same
 /// mathematical product — the speedup is purely the datapath width win
 /// the integer path buys. `extra` records which micro-kernel family
@@ -325,7 +325,7 @@ fn int8_gemm_entry(m: usize, k: usize, n: usize, reps: usize) -> Entry {
         reps,
     );
     let ns_fast = best_ns(
-        || cq_par::gemm_i8(m, k, n, &a_i8, &b_i8, &mut out_i, &serial),
+        || cq_par::gemm(m, k, n, &a_i8, &b_i8, &mut out_i, &serial),
         reps,
     );
     Entry {

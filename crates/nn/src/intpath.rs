@@ -4,12 +4,12 @@
 //! [`crate::Dense`] and [`crate::Conv2d`] forward passes through the
 //! integer-domain pipeline: one [`cq_quant::IntDomainQuantizer`] pass per
 //! operand emits i8 codes plus an exact power-of-two scale, the MAC runs
-//! in `cq_par::gemm_i8` / `cq_par::conv::conv2d_i8` (i8×i8→i32), and a
-//! single `acc · (s_x·s_w)` rescale lands the f32 output — no per-element
-//! dequantize between quantization and compute. Layers whose block
-//! statistics fall off the power-of-two ladder (subnormal θ, non-exact
-//! base scale) fall back to the f32 fake-quantize path for that pass and
-//! are counted in [`IntPathStats`].
+//! in the i8 instantiation of `cq_par::gemm` / `cq_par::conv::conv2d`
+//! (i8×i8→i32), and a single `acc · (s_x·s_w)` rescale lands the f32
+//! output — no per-element dequantize between quantization and compute.
+//! Layers whose block statistics fall off the power-of-two ladder
+//! (subnormal θ, non-exact base scale) fall back to the f32 fake-quantize
+//! path for that pass and are counted in [`IntPathStats`].
 //!
 //! The knob is strictly validated: `CQ_QUANT_PATH` must be unset, empty,
 //! `"fp32"` or `"int8"` — anything else aborts the process at first use

@@ -9,8 +9,8 @@
 use crate::error::NnError;
 use crate::intpath::{env_quant_path, IntPathStats, QuantPath};
 use crate::param::Param;
-use cq_par::conv::{conv2d_i8, ConvShape};
-use cq_par::{gemm_i8, Pool};
+use cq_par::conv::{conv2d, ConvShape};
+use cq_par::{gemm, Pool};
 use cq_quant::{IntDomainQuantizer, IntDomainScratch, QuantScratch, TrainingQuantizer};
 use cq_tensor::ops::{self, Conv2dParams};
 use cq_tensor::{init, Backend, Tensor};
@@ -189,10 +189,11 @@ impl QuantCtx {
         let sw = st
             .quantizer
             .quantize_into(w.data(), &mut st.wcodes, &mut st.scratch)?;
-        // Size only — gemm_i8 overwrites every element, so the steady-state
-        // call (same shape as last step) skips the full rezeroing pass.
+        // Size only — the i8 gemm overwrites every element, so the
+        // steady-state call (same shape as last step) skips the full
+        // rezeroing pass.
         st.acc.resize(b * out_f, 0);
-        gemm_i8(
+        gemm(
             b,
             in_f,
             out_f,
@@ -214,8 +215,9 @@ impl QuantCtx {
     }
 
     /// Integer-domain convolution forward: same pipeline as
-    /// [`Self::int_dense_forward`] with the MAC lowered through
-    /// `conv2d_i8` (shared im2col with the f32 path).
+    /// [`Self::int_dense_forward`] with the MAC lowered through the i8
+    /// instantiation of `conv2d` (shared im2col and weight prepack with
+    /// the f32 path).
     fn int_conv_forward(
         &self,
         x: &Tensor,
@@ -253,9 +255,10 @@ impl QuantCtx {
         let sw = st
             .quantizer
             .quantize_into(w.data(), &mut st.wcodes, &mut st.scratch)?;
-        // Size only — conv2d_i8 overwrites every element (see dense above).
+        // Size only — the i8 conv2d overwrites every element (see dense
+        // above).
         st.acc.resize(n * shape.out_len(), 0);
-        conv2d_i8(&shape, &st.xcodes, &st.wcodes, &mut st.acc, Pool::global());
+        conv2d(&shape, &st.xcodes, &st.wcodes, &mut st.acc, Pool::global());
         let s = sx.scale * sw.scale;
         let y: Vec<f32> = st.acc.iter().map(|&a| a as f32 * s).collect();
         Self::fill_dequant(cached_xq, &st.xcodes, sx.scale, x.dims());

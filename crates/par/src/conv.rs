@@ -14,8 +14,7 @@
 //! one patch buffer per worker; the batch-1 case falls back to the
 //! parallel GEMM itself.
 
-use crate::gemm::{gemm, gemm_at, gemm_bt, gemm_prepacked, PackedA};
-use crate::gemm_i8::gemm_i8;
+use crate::gemm::{gemm, gemm_at, gemm_bt, gemm_prepacked, GemmElem, PackedA};
 use crate::pool::Pool;
 use crate::tune::active_plan;
 
@@ -96,7 +95,7 @@ impl ConvShape {
 /// (`[C·KH·KW, OH·OW]`), zero-filling padded positions.
 ///
 /// Generic over the element type (pure data movement): the f32 path and
-/// the dequantization-free i8 path ([`conv2d_i8`]) share this lowering.
+/// the dequantization-free i8 path of [`conv2d`] share this lowering.
 ///
 /// # Panics
 ///
@@ -178,12 +177,22 @@ pub fn col2im_add(shape: &ConvShape, cols: &[f32], image: &mut [f32]) {
     }
 }
 
-/// Forward convolution: `out[N, F, OH, OW] = input[N, C, H, W] ⊛ weight`.
+/// Forward convolution: `out[N, F, OH, OW] = input[N, C, H, W] ⊛ weight`,
+/// for any [`GemmElem`]. On `i8` codes `out` receives the exact `i32`
+/// accumulation, bitwise identical across SIMD levels, thread counts and
+/// batch-path choices; the caller applies the single `s_x·s_w` rescale
+/// (see `cq_quant::intdomain`).
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with `shape`.
-pub fn conv2d(shape: &ConvShape, input: &[f32], weight: &[f32], out: &mut [f32], pool: &Pool) {
+pub fn conv2d<E: GemmElem>(
+    shape: &ConvShape,
+    input: &[E],
+    weight: &[E],
+    out: &mut [E::Acc],
+    pool: &Pool,
+) {
     assert_eq!(input.len(), shape.n * shape.image_len(), "conv2d: input");
     assert_eq!(weight.len(), shape.f * shape.col_rows(), "conv2d: weight");
     assert_eq!(out.len(), shape.n * shape.out_len(), "conv2d: out");
@@ -196,7 +205,7 @@ pub fn conv2d(shape: &ConvShape, input: &[f32], weight: &[f32], out: &mut [f32],
         // the image fan-out instead of repacking per image.
         let packed_w = PackedA::pack(active_plan(), shape.f, shape.col_rows(), weight);
         pool.parallel_row_chunks(out, shape.out_len(), 1, |first, band| {
-            let mut cols = vec![0.0f32; shape.col_rows() * shape.col_cols()];
+            let mut cols = vec![E::default(); shape.col_rows() * shape.col_cols()];
             for (i, out_img) in band.chunks_exact_mut(shape.out_len()).enumerate() {
                 let img = first + i;
                 let image = &input[img * shape.image_len()..(img + 1) * shape.image_len()];
@@ -205,7 +214,7 @@ pub fn conv2d(shape: &ConvShape, input: &[f32], weight: &[f32], out: &mut [f32],
             }
         });
     } else {
-        let mut cols = vec![0.0f32; shape.col_rows() * shape.col_cols()];
+        let mut cols = vec![E::default(); shape.col_rows() * shape.col_cols()];
         im2col(shape, input, &mut cols);
         gemm(
             shape.f,
@@ -219,66 +228,13 @@ pub fn conv2d(shape: &ConvShape, input: &[f32], weight: &[f32], out: &mut [f32],
     }
 }
 
-/// Dequantization-free forward convolution: i8 input and weight codes,
-/// i32 accumulator output — `out[N, F, OH, OW] = input[N, C, H, W] ⊛
-/// weight` in exact integer arithmetic. The caller applies the single
-/// `s_x·s_w` rescale (see `cq_quant::intdomain`).
-///
-/// Same im2col lowering and [`gemm_i8`] blocking as the f32 path, so
-/// results are bitwise identical across SIMD levels, thread counts and
-/// batch-path choices (integer accumulation is associative).
+/// [`conv2d`] over `i8` codes with exact `i32` accumulation.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with `shape`.
 pub fn conv2d_i8(shape: &ConvShape, input: &[i8], weight: &[i8], out: &mut [i32], pool: &Pool) {
-    assert_eq!(input.len(), shape.n * shape.image_len(), "conv2d_i8: input");
-    assert_eq!(
-        weight.len(),
-        shape.f * shape.col_rows(),
-        "conv2d_i8: weight"
-    );
-    assert_eq!(out.len(), shape.n * shape.out_len(), "conv2d_i8: out");
-    if shape.out_len() == 0 {
-        return;
-    }
-    if shape.n > 1 && pool.threads() > 1 {
-        // Fan out across images; each band runs its GEMMs serially (the
-        // per-image work is the parallel grain, as in the f32 path).
-        let serial = Pool::new(1);
-        pool.parallel_row_chunks(out, shape.out_len(), 1, |first, band| {
-            let mut cols = vec![0i8; shape.col_rows() * shape.col_cols()];
-            for (i, out_img) in band.chunks_exact_mut(shape.out_len()).enumerate() {
-                let img = first + i;
-                let image = &input[img * shape.image_len()..(img + 1) * shape.image_len()];
-                im2col(shape, image, &mut cols);
-                gemm_i8(
-                    shape.f,
-                    shape.col_rows(),
-                    shape.col_cols(),
-                    weight,
-                    &cols,
-                    out_img,
-                    &serial,
-                );
-            }
-        });
-    } else {
-        let mut cols = vec![0i8; shape.col_rows() * shape.col_cols()];
-        for (img, out_img) in out.chunks_exact_mut(shape.out_len()).enumerate() {
-            let image = &input[img * shape.image_len()..(img + 1) * shape.image_len()];
-            im2col(shape, image, &mut cols);
-            gemm_i8(
-                shape.f,
-                shape.col_rows(),
-                shape.col_cols(),
-                weight,
-                &cols,
-                out_img,
-                pool,
-            );
-        }
-    }
+    conv2d(shape, input, weight, out, pool);
 }
 
 /// Input gradient: `gin[N, C, H, W]` from `grad_out[N, F, OH, OW]` and the

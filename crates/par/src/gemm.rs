@@ -1,11 +1,12 @@
 //! Three-level cache-blocked GEMM: micro-kernel × register tile below,
-//! KC/MC/NC panel blocking above, pool banding on top.
+//! KC/MC/NC panel blocking above, pool banding on top — one driver,
+//! generic over the operand element ([`GemmElem`]).
 //!
 //! The loop nest is the classic BLIS/GotoBLAS structure, parameterized by
 //! the active [`GemmPlan`] (see [`crate::tune`]):
 //!
 //! ```text
-//! for jc in 0..n  step NC      // B column block   → packed once per (jc,pc)
+//! for jc in 0..n step NC      // B column block   → packed once per (jc,pc)
 //!   for pc in 0..k step KC     // reduction block  → accumulate after the first
 //!     pack B[pc.., jc..]  (KC × NC, NR-column panels)
 //!     for ic in 0..m step MC   // A row block      → packed, reused over NC cols
@@ -25,49 +26,176 @@
 //! Parallelism still partitions output rows across the [`Pool`]: bands
 //! are disjoint `&mut` slices running the full blocked nest.
 //!
+//! # Element types
+//!
+//! * `f32` — f32 accumulator, k-group 1, `+`.
+//! * `i8` — the dequantization-free integer path: quantized codes in,
+//!   the exact `i32` accumulation out (the caller applies one scale at
+//!   the output). Operands are sign-extended to `i16` in k-pairs
+//!   (k-group 2) so the AVX2 kernel retires two reduction steps per
+//!   `vpmaddwd`; accumulation is `wrapping_add`.
+//!
+//! # Packing layout
+//!
+//! Panels hold the operand widened to [`GemmElem::Packed`], interleaved
+//! in k-groups of `G =` [`GemmElem::KG`] reduction steps:
+//!
+//! * A panels: `ap[g·MR·G + i·G + s] = A[i, G·g + s]` — for i8, each
+//!   32-bit lane of a broadcast holds one row's `(k, k+1)` pair.
+//! * B panels: `bp[g·NR·G + j·G + s] = B[G·g + s, j]` — for i8, one
+//!   256-bit load covers 8 columns × 2 k-steps.
+//!
+//! With `G = 1` (f32) these are the plain MR-interleaved and NR-column
+//! panels. Ragged tile edges and the tail of the last k-group are
+//! zero-padded; padded lanes only ever land in discarded accumulators
+//! or add exact zeros.
+//!
 //! # Determinism
 //!
 //! Every output element is accumulated over `k` in ascending index
 //! order: the `pc` blocks advance in order and each micro-kernel sums
 //! its block ascending. Banding, blocking and thread count change which
 //! elements are computed *together*, never the per-element operation
-//! sequence — so results are bitwise identical across thread counts and
-//! tile shapes *within* one SIMD level. Across levels (or vs the naive
-//! backend) the FMA kernels differ by fused-rounding only, inside the
-//! documented `k · amax · bmax · 8ε` parity tolerance.
+//! sequence — so f32 results are bitwise identical across thread counts
+//! and tile shapes *within* one SIMD level. Across levels (or vs the
+//! naive backend) the FMA kernels differ by fused-rounding only, inside
+//! the documented `k · amax · bmax · 8ε` parity tolerance.
+//!
+//! i8 is stronger: i32 addition is associative, so its results are
+//! **bitwise identical across SIMD levels, thread counts, tile shapes,
+//! blockings and prepacking** — the scalar kernel reproduces the
+//! `vpmaddwd`/`vpaddd` (wrapping) semantics exactly. For i8-ranged
+//! operands no intermediate saturates; accumulator wraparound needs
+//! `k ≥ 2^17` at worst-case magnitudes, far beyond any layer here, and
+//! even then every kernel wraps identically.
 
 // Micro-kernel invocations are raw-pointer calls (see microkernel.rs);
 // every call site documents the bounds that make it sound.
 #![allow(unsafe_code)]
 
-use crate::microkernel::{MAX_MR, MAX_NR};
+use crate::microkernel::{kernel_for, kernel_i8_for, KernFn, SimdLevel, MAX_MR, MAX_NR};
 use crate::pool::Pool;
 use crate::tune::{active_plan, GemmPlan};
 
 /// Minimum multiply-accumulate count before a GEMM fans out to the pool;
 /// below this, scoped-thread spawn overhead (~tens of µs) dominates.
-/// Shared with the i8 path (`gemm_i8.rs`), whose per-MAC cost is lower
-/// still, so the threshold is if anything conservative there.
+/// The i8 path's per-MAC cost is lower still, so the threshold is if
+/// anything conservative there.
 pub(crate) const PAR_MIN_MACS: usize = 1 << 18;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for i8 {}
+}
+
+/// An operand element the blocked GEMM runs on: `f32`, or `i8` codes
+/// with exact `i32` accumulation (see the module docs).
+///
+/// Sealed. Each impl supplies the only per-type facts the driver needs —
+/// its k-group, widening, accumulate operation and micro-kernel lookup —
+/// so packing, blocking, banding and prepacking are one copy.
+pub trait GemmElem: sealed::Sealed + Copy + Default + Send + Sync + 'static {
+    /// Accumulator and output element (`f32` / `i32`).
+    type Acc: Copy + Default + Send + Sync + 'static;
+    /// Panel element: the operand widened for the micro-kernel (`f32` /
+    /// sign-extended `i16`).
+    type Packed: Copy + Default + Send + Sync + 'static;
+    /// Reduction steps interleaved per k-group in the packed panels; the
+    /// micro-kernels count their reduction length in k-groups.
+    const KG: usize;
+    /// Widens one operand into its panel element.
+    fn widen(self) -> Self::Packed;
+    /// The widening product of two panel elements.
+    fn product(a: Self::Packed, b: Self::Packed) -> Self::Acc;
+    /// The accumulate operation (`+` for f32, `wrapping_add` for i32).
+    fn accumulate(acc: Self::Acc, v: Self::Acc) -> Self::Acc;
+    /// This type's micro-kernel for a `(level, mr, nr)` triple; `None` if
+    /// the tile is unsupported (or the level lacks it on this target).
+    fn lookup(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<Self>>;
+    /// The kernel `plan` resolved for this type ([`GemmPlan::new`] proves
+    /// it exists).
+    fn kernel(plan: &GemmPlan) -> KernFn<Self>;
+}
+
+impl GemmElem for f32 {
+    type Acc = f32;
+    type Packed = f32;
+    const KG: usize = 1;
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+    #[inline(always)]
+    fn product(a: f32, b: f32) -> f32 {
+        a * b
+    }
+    #[inline(always)]
+    fn accumulate(acc: f32, v: f32) -> f32 {
+        acc + v
+    }
+    fn lookup(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<f32>> {
+        kernel_for(level, mr, nr)
+    }
+    fn kernel(plan: &GemmPlan) -> KernFn<f32> {
+        plan.kern
+    }
+}
+
+impl GemmElem for i8 {
+    type Acc = i32;
+    type Packed = i16;
+    const KG: usize = 2;
+    #[inline(always)]
+    fn widen(self) -> i16 {
+        self as i16
+    }
+    #[inline(always)]
+    fn product(a: i16, b: i16) -> i32 {
+        a as i32 * b as i32
+    }
+    #[inline(always)]
+    fn accumulate(acc: i32, v: i32) -> i32 {
+        acc.wrapping_add(v)
+    }
+    fn lookup(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<i8>> {
+        kernel_i8_for(level, mr, nr)
+    }
+    fn kernel(plan: &GemmPlan) -> KernFn<i8> {
+        plan.kern_i8
+    }
+}
 
 /// A strided read-only matrix view: element `(r, c)` lives at
 /// `data[off + r·rs + c·cs]`. Lets one packer serve row-major A,
 /// column-stored Aᵀ and row-stored Bᵀ without materializing transposes.
 #[derive(Clone, Copy)]
-struct MatRef<'a> {
-    data: &'a [f32],
+struct MatRef<'a, T> {
+    data: &'a [T],
     off: usize,
     rs: usize,
     cs: usize,
 }
 
-impl<'a> MatRef<'a> {
-    fn row_major(data: &'a [f32], cols: usize) -> Self {
+impl<'a, T> MatRef<'a, T> {
+    fn row_major(data: &'a [T], cols: usize) -> Self {
         MatRef {
             data,
             off: 0,
             rs: cols,
             cs: 1,
+        }
+    }
+
+    /// The transpose of a row-major `[cols, rows]` matrix: element
+    /// `(r, c)` is `data[c·rows + r]` — row stride 1, column stride
+    /// `rows`.
+    fn transposed(data: &'a [T], rows: usize) -> Self {
+        MatRef {
+            data,
+            off: 0,
+            rs: 1,
+            cs: rows,
         }
     }
 
@@ -85,48 +213,113 @@ impl<'a> MatRef<'a> {
     }
 }
 
+/// Zeroed panel storage whose `len`-element window starts on a 64-byte
+/// boundary, keeping 512-bit B-panel loads on cache lines (a `Vec` is
+/// only element-aligned, which would split every zmm load across two
+/// lines).
+struct PanelBuf<P> {
+    buf: Vec<P>,
+    off: usize,
+    len: usize,
+}
+
+impl<P: Copy + Default> PanelBuf<P> {
+    fn new(len: usize) -> Self {
+        let slack = 64 / std::mem::size_of::<P>();
+        let buf = vec![P::default(); len + slack];
+        // `align_offset` may decline with usize::MAX; alignment only
+        // affects speed, so fall back to any in-bounds window.
+        let off = buf.as_ptr().align_offset(64).min(slack);
+        PanelBuf { buf, off, len }
+    }
+
+    fn as_mut(&mut self) -> &mut [P] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
 /// Packs the `mcb × kcb` block of `a` at `(i0, p0)` into `MR`-interleaved
-/// panels: panel `ib` holds rows `i0 + ib·mr ..`, laid out `p`-major as
-/// `dst[ib·kcb·mr + p·mr + ii]`. Ragged final panels are zero-padded —
-/// padded lanes only ever land in discarded accumulators.
-fn pack_a(a: MatRef<'_>, i0: usize, p0: usize, mcb: usize, kcb: usize, mr: usize, dst: &mut [f32]) {
+/// k-group panels: panel `ib` holds rows `i0 + ib·mr ..`, laid out
+/// `dst[ib·kp·mr + g·mr·G + ii·G + s] = a[i0 + ib·mr + ii, p0 + g·G + s]`
+/// with `G = E::KG` and `kp` = `kcb` rounded up to whole k-groups.
+/// Ragged final panels and the last k-group's tail are zero-padded.
+///
+/// Kept out of line: inlined into the loop nest, the strided
+/// (`gemm_at`) case packs measurably slower.
+#[inline(never)]
+fn pack_a<E: GemmElem>(
+    a: MatRef<'_, E>,
+    i0: usize,
+    p0: usize,
+    mcb: usize,
+    kcb: usize,
+    mr: usize,
+    dst: &mut [E::Packed],
+) {
+    let kp = kcb.div_ceil(E::KG) * E::KG;
+    let w = mr * E::KG; // one k-group of one panel
     for ib in 0..mcb.div_ceil(mr) {
-        let panel = &mut dst[ib * kcb * mr..(ib + 1) * kcb * mr];
+        let panel = &mut dst[ib * kp * mr..(ib + 1) * kp * mr];
         let rows_here = mr.min(mcb - ib * mr);
         if rows_here < mr {
-            panel.fill(0.0);
+            panel.fill(E::Packed::default());
+        } else if kcb < kp {
+            panel[(kp - E::KG) * mr..].fill(E::Packed::default());
         }
         for ii in 0..rows_here {
             let mut src = a.idx(i0 + ib * mr + ii, p0);
-            for p in 0..kcb {
-                panel[p * mr + ii] = a.data[src];
-                src += a.cs;
+            for g in 0..kcb / E::KG {
+                for s in 0..E::KG {
+                    panel[g * w + ii * E::KG + s] = a.data[src + s * a.cs].widen();
+                }
+                src += E::KG * a.cs;
+            }
+            // A partial last k-group; its padding lanes stay zero.
+            for s in 0..kcb % E::KG {
+                panel[kcb / E::KG * w + ii * E::KG + s] = a.data[src + s * a.cs].widen();
             }
         }
     }
 }
 
 /// Packs the `kcb × ncb` block of `b` at `(p0, j0)` into `NR`-column
-/// panels: panel `jb` holds columns `j0 + jb·nr ..`, laid out as
-/// `dst[jb·kcb·nr + p·nr + jj]`, zero-padded on the ragged edge.
-fn pack_b(b: MatRef<'_>, p0: usize, j0: usize, kcb: usize, ncb: usize, nr: usize, dst: &mut [f32]) {
+/// k-group panels: panel `jb` holds columns `j0 + jb·nr ..`, laid out
+/// `dst[jb·kp·nr + g·nr·G + jj·G + s] = b[p0 + g·G + s, j0 + jb·nr + jj]`,
+/// zero-padded on the ragged column edge and the last k-group's tail.
+fn pack_b<E: GemmElem>(
+    b: MatRef<'_, E>,
+    p0: usize,
+    j0: usize,
+    kcb: usize,
+    ncb: usize,
+    nr: usize,
+    dst: &mut [E::Packed],
+) {
+    let kp = kcb.div_ceil(E::KG) * E::KG;
+    let w = nr * E::KG; // one k-group of one panel
     for jb in 0..ncb.div_ceil(nr) {
-        let panel = &mut dst[jb * kcb * nr..(jb + 1) * kcb * nr];
+        let panel = &mut dst[jb * kp * nr..(jb + 1) * kp * nr];
         let cols_here = nr.min(ncb - jb * nr);
         if cols_here < nr {
-            panel.fill(0.0);
+            panel.fill(E::Packed::default());
+        } else if kcb < kp {
+            panel[(kp - E::KG) * nr..].fill(E::Packed::default());
         }
-        if b.cs == 1 {
-            for p in 0..kcb {
-                let src = b.idx(p0 + p, j0 + jb * nr);
-                panel[p * nr..p * nr + cols_here].copy_from_slice(&b.data[src..src + cols_here]);
-            }
-        } else {
-            for p in 0..kcb {
-                let mut src = b.idx(p0 + p, j0 + jb * nr);
-                for jj in 0..cols_here {
-                    panel[p * nr + jj] = b.data[src];
-                    src += b.cs;
+        for (g, row) in panel.chunks_exact_mut(w).enumerate() {
+            // Source row `s` of the k-group fills lane `s` of the
+            // interleaved panel row (for f32, the whole row).
+            for s in 0..E::KG.min(kcb - g * E::KG) {
+                let mut src = b.idx(p0 + g * E::KG + s, j0 + jb * nr);
+                if b.cs == 1 {
+                    let src_row = &b.data[src..src + cols_here];
+                    for (grp, &v) in row.chunks_exact_mut(E::KG).zip(src_row) {
+                        grp[s] = v.widen();
+                    }
+                } else {
+                    for grp in row.chunks_exact_mut(E::KG).take(cols_here) {
+                        grp[s] = b.data[src].widen();
+                        src += b.cs;
+                    }
                 }
             }
         }
@@ -134,34 +327,37 @@ fn pack_b(b: MatRef<'_>, p0: usize, j0: usize, kcb: usize, ncb: usize, nr: usize
 }
 
 /// Where the blocked driver gets its packed A panels from.
-enum ASource<'a> {
+enum ASource<'a, E: GemmElem> {
     /// Pack on the fly from a strided view.
-    View(MatRef<'a>),
+    View(MatRef<'a, E>),
     /// Reuse panels packed once by [`PackedA::pack`].
-    Packed(&'a PackedA),
+    Packed(&'a PackedA<E>),
 }
 
 /// The serial three-level loop nest over one band of output rows.
 /// `out` is the row-major `rows × n` band; `a` covers exactly those rows.
-fn gemm_blocked(
+fn gemm_blocked<E: GemmElem>(
     plan: &GemmPlan,
     rows: usize,
     k: usize,
     n: usize,
-    a: ASource<'_>,
-    b: MatRef<'_>,
-    out: &mut [f32],
+    a: ASource<'_, E>,
+    b: MatRef<'_, E>,
+    out: &mut [E::Acc],
 ) {
     let cfg = plan.cfg;
     let (mr, nr, kc, mc, nc) = (cfg.mr, cfg.nr, cfg.kc, cfg.mc, cfg.nc);
-    let kern = plan.kern;
+    let kern = E::kernel(plan);
+    // Reduction steps of the largest block, padded to whole k-groups.
+    let kp_max = kc.min(k).div_ceil(E::KG) * E::KG;
 
-    let mut bp = vec![0.0f32; kc.min(k) * nc.min(n).div_ceil(nr) * nr];
-    let mut ap = match a {
-        ASource::View(_) => vec![0.0f32; kc.min(k) * mc.min(rows).div_ceil(mr) * mr],
-        ASource::Packed(_) => Vec::new(),
-    };
-    let mut scratch = [0.0f32; MAX_MR * MAX_NR];
+    let mut bp_buf = PanelBuf::new(kp_max * nc.min(n).div_ceil(nr) * nr);
+    let mut ap_buf = PanelBuf::new(match a {
+        ASource::View(_) => kp_max * mc.min(rows).div_ceil(mr) * mr,
+        ASource::Packed(_) => 0,
+    });
+    let (bp, ap) = (bp_buf.as_mut(), ap_buf.as_mut());
+    let mut scratch = [E::Acc::default(); MAX_MR * MAX_NR];
 
     let mut jc = 0;
     while jc < n {
@@ -170,38 +366,40 @@ fn gemm_blocked(
         let mut pci = 0;
         while pc < k {
             let kcb = kc.min(k - pc);
-            pack_b(b, pc, jc, kcb, ncb, nr, &mut bp);
+            let kp = kcb.div_ceil(E::KG) * E::KG;
+            let groups = kp / E::KG;
+            pack_b(b, pc, jc, kcb, ncb, nr, bp);
             // After the first reduction block, micro-kernels add into C.
             let acc = pci > 0;
             let mut ic = 0;
             let mut ici = 0;
             while ic < rows {
                 let mcb = mc.min(rows - ic);
-                let a_panels: &[f32] = match &a {
+                let a_panels: &[E::Packed] = match &a {
                     ASource::View(v) => {
-                        pack_a(*v, ic, pc, mcb, kcb, mr, &mut ap);
-                        &ap
+                        pack_a(*v, ic, pc, mcb, kcb, mr, ap);
+                        ap
                     }
                     ASource::Packed(p) => p.block(pci, ici),
                 };
                 let mut jr = 0;
                 while jr < ncb {
                     let nrb = nr.min(ncb - jr);
-                    let bpanel = &bp[(jr / nr) * kcb * nr..];
+                    let bpanel = &bp[(jr / nr) * kp * nr..];
                     let mut ir = 0;
                     while ir < mcb {
                         let mrb = mr.min(mcb - ir);
-                        let apanel = &a_panels[(ir / mr) * kcb * mr..];
+                        let apanel = &a_panels[(ir / mr) * kp * mr..];
                         let (row, col) = (ic + ir, jc + jr);
                         if mrb == mr && nrb == nr {
-                            // SAFETY: apanel/bpanel hold ≥ kcb·mr / kcb·nr
-                            // floats (full panels exist for full tiles);
+                            // SAFETY: apanel/bpanel hold ≥ kp·mr / kp·nr
+                            // elements (full panels exist for full tiles);
                             // rows row..row+mr and cols col..col+nr are in
                             // bounds, so every write `i·n + j` from the
                             // tile base stays inside `out`.
                             unsafe {
                                 kern(
-                                    kcb,
+                                    groups,
                                     apanel.as_ptr(),
                                     bpanel.as_ptr(),
                                     out.as_mut_ptr().add(row * n + col),
@@ -215,10 +413,10 @@ fn gemm_blocked(
                             // `mrb × nrb` corner.
                             // SAFETY: panels as above (zero-padded to full
                             // size); scratch holds MAX_MR·MAX_NR ≥ mr·nr
-                            // floats at ldc = nr.
+                            // elements at ldc = nr.
                             unsafe {
                                 kern(
-                                    kcb,
+                                    groups,
                                     apanel.as_ptr(),
                                     bpanel.as_ptr(),
                                     scratch.as_mut_ptr(),
@@ -231,7 +429,7 @@ fn gemm_blocked(
                                 let s = &scratch[ii * nr..ii * nr + nrb];
                                 if acc {
                                     for (ov, &sv) in out[o..o + nrb].iter_mut().zip(s) {
-                                        *ov += sv;
+                                        *ov = E::accumulate(*ov, sv);
                                     }
                                 } else {
                                     out[o..o + nrb].copy_from_slice(s);
@@ -254,21 +452,21 @@ fn gemm_blocked(
 
 /// Shared entry: handles degenerate shapes and the serial/banded split.
 #[allow(clippy::too_many_arguments)]
-fn run(
+fn run<E: GemmElem>(
     plan: &GemmPlan,
     m: usize,
     k: usize,
     n: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    out: &mut [f32],
+    a: MatRef<'_, E>,
+    b: MatRef<'_, E>,
+    out: &mut [E::Acc],
     pool: &Pool,
 ) {
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        out.fill(E::Acc::default());
         return;
     }
     let min_rows = 4 * plan.cfg.mr;
@@ -283,7 +481,8 @@ fn run(
 }
 
 /// `out[m,n] = a[m,k] × b[k,n]`, all row-major, using the process-wide
-/// [`active_plan`].
+/// [`active_plan`]. For `i8` operands `out` receives the exact `i32`
+/// accumulation, bitwise identical across SIMD levels and thread counts.
 ///
 /// # Panics
 ///
@@ -299,8 +498,36 @@ fn run(
 /// gemm(2, 3, 2, &a, &b, &mut out, Pool::global());
 /// assert_eq!(out, [58.0, 64.0, 139.0, 154.0]);
 /// ```
-pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], pool: &Pool) {
+pub fn gemm<E: GemmElem>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Acc],
+    pool: &Pool,
+) {
     gemm_with_plan(active_plan(), m, k, n, a, b, out, pool);
+}
+
+/// [`gemm`] over `i8` codes with exact `i32` accumulation.
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with the dimensions.
+///
+/// # Examples
+///
+/// ```
+/// use cq_par::{gemm_i8, Pool};
+/// let a = [1i8, 2, 3, 4, 5, 6]; // 2x3
+/// let b = [7i8, 8, 9, 10, 11, 12]; // 3x2
+/// let mut out = [0i32; 4];
+/// gemm_i8(2, 3, 2, &a, &b, &mut out, Pool::global());
+/// assert_eq!(out, [58, 64, 139, 154]);
+/// ```
+pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32], pool: &Pool) {
+    gemm(m, k, n, a, b, out, pool);
 }
 
 /// [`gemm`] with an explicit plan (used by the autotuner and parity tests).
@@ -309,14 +536,14 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32],
 ///
 /// Panics if slice lengths disagree with the dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_with_plan(
+pub fn gemm_with_plan<E: GemmElem>(
     plan: &GemmPlan,
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Acc],
     pool: &Pool,
 ) {
     assert_eq!(a.len(), m * k, "gemm: a length");
@@ -342,7 +569,15 @@ pub fn gemm_with_plan(
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the dimensions.
-pub fn gemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], pool: &Pool) {
+pub fn gemm_at<E: GemmElem>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Acc],
+    pool: &Pool,
+) {
     gemm_at_with_plan(active_plan(), m, k, n, a, b, out, pool);
 }
 
@@ -352,30 +587,25 @@ pub fn gemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 ///
 /// Panics if slice lengths disagree with the dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_at_with_plan(
+pub fn gemm_at_with_plan<E: GemmElem>(
     plan: &GemmPlan,
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Acc],
     pool: &Pool,
 ) {
     assert_eq!(a.len(), k * m, "gemm_at: a length");
     assert_eq!(b.len(), k * n, "gemm_at: b length");
     assert_eq!(out.len(), m * n, "gemm_at: out length");
-    // Element (i, p) of Aᵀ is a[p·m + i]: row stride 1, column stride m.
-    let at = MatRef {
-        data: a,
-        off: 0,
-        rs: 1,
-        cs: m,
-    };
+    let at = MatRef::transposed(a, m);
     run(plan, m, k, n, at, MatRef::row_major(b, n), out, pool);
 }
 
-/// `out[m,n] = a × bᵀ` for `a[m,k]`, `b[n,k]` (the neuron-gradient shape).
+/// `out[m,n] = a × bᵀ` for `a[m,k]`, `b[n,k]` (the neuron-gradient shape,
+/// and the Dense forward layout: weights stored `[out, in]`).
 ///
 /// Bᵀ is packed directly from its `[n, k]` storage (column stride `k`)
 /// by the panel packer — no transpose materialization.
@@ -383,7 +613,15 @@ pub fn gemm_at_with_plan(
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the dimensions.
-pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], pool: &Pool) {
+pub fn gemm_bt<E: GemmElem>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Acc],
+    pool: &Pool,
+) {
     gemm_bt_with_plan(active_plan(), m, k, n, a, b, out, pool);
 }
 
@@ -393,26 +631,20 @@ pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 ///
 /// Panics if slice lengths disagree with the dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_bt_with_plan(
+pub fn gemm_bt_with_plan<E: GemmElem>(
     plan: &GemmPlan,
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Acc],
     pool: &Pool,
 ) {
     assert_eq!(a.len(), m * k, "gemm_bt: a length");
     assert_eq!(b.len(), n * k, "gemm_bt: b length");
     assert_eq!(out.len(), m * n, "gemm_bt: out length");
-    // Element (p, j) of Bᵀ is b[j·k + p]: row stride 1, column stride k.
-    let bt = MatRef {
-        data: b,
-        off: 0,
-        rs: 1,
-        cs: k,
-    };
+    let bt = MatRef::transposed(b, k);
     run(plan, m, k, n, MatRef::row_major(a, k), bt, out, pool);
 }
 
@@ -425,23 +657,23 @@ pub fn gemm_bt_with_plan(
 /// by [`gemm_prepacked`]. The panel grid (KC × MC blocks) follows the
 /// plan used at pack time, so prepacked results are bitwise identical to
 /// [`gemm_with_plan`] with the same plan.
-pub struct PackedA {
+pub struct PackedA<E: GemmElem> {
     plan: GemmPlan,
     m: usize,
     k: usize,
     n_ic: usize,
-    data: Vec<f32>,
+    data: Vec<E::Packed>,
     /// Start of each `(pci, ici)` block in `data`, plus an end sentinel.
     offsets: Vec<usize>,
 }
 
-impl PackedA {
+impl<E: GemmElem> PackedA<E> {
     /// Packs row-major `a[m, k]`.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != m * k`.
-    pub fn pack(plan: &GemmPlan, m: usize, k: usize, a: &[f32]) -> PackedA {
+    pub fn pack(plan: &GemmPlan, m: usize, k: usize, a: &[E]) -> Self {
         assert_eq!(a.len(), m * k, "PackedA::pack: a length");
         Self::pack_view(plan, m, k, MatRef::row_major(a, k))
     }
@@ -451,22 +683,12 @@ impl PackedA {
     /// # Panics
     ///
     /// Panics if `a.len() != k * m`.
-    pub fn pack_transposed(plan: &GemmPlan, m: usize, k: usize, a: &[f32]) -> PackedA {
+    pub fn pack_transposed(plan: &GemmPlan, m: usize, k: usize, a: &[E]) -> Self {
         assert_eq!(a.len(), k * m, "PackedA::pack_transposed: a length");
-        Self::pack_view(
-            plan,
-            m,
-            k,
-            MatRef {
-                data: a,
-                off: 0,
-                rs: 1,
-                cs: m,
-            },
-        )
+        Self::pack_view(plan, m, k, MatRef::transposed(a, m))
     }
 
-    fn pack_view(plan: &GemmPlan, m: usize, k: usize, a: MatRef<'_>) -> PackedA {
+    fn pack_view(plan: &GemmPlan, m: usize, k: usize, a: MatRef<'_, E>) -> Self {
         let (mr, kc, mc) = (plan.cfg.mr, plan.cfg.kc, plan.cfg.mc);
         let n_pc = k.div_ceil(kc);
         let n_ic = m.div_ceil(mc);
@@ -479,8 +701,8 @@ impl PackedA {
                 let ic = ici * mc;
                 let mcb = mc.min(m - ic);
                 offsets.push(data.len());
-                let len = mcb.div_ceil(mr) * kcb * mr;
-                data.resize(data.len() + len, 0.0);
+                let len = mcb.div_ceil(mr) * kcb.div_ceil(E::KG) * E::KG * mr;
+                data.resize(data.len() + len, E::Packed::default());
                 let start = data.len() - len;
                 pack_a(a, ic, pc, mcb, kcb, mr, &mut data[start..]);
             }
@@ -507,7 +729,7 @@ impl PackedA {
     }
 
     /// Panels of block `(pci, ici)`.
-    fn block(&self, pci: usize, ici: usize) -> &[f32] {
+    fn block(&self, pci: usize, ici: usize) -> &[E::Packed] {
         let i = pci * self.n_ic + ici;
         &self.data[self.offsets[i]..self.offsets[i + 1]]
     }
@@ -523,7 +745,7 @@ impl PackedA {
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the packed dimensions.
-pub fn gemm_prepacked(packed: &PackedA, n: usize, b: &[f32], out: &mut [f32]) {
+pub fn gemm_prepacked<E: GemmElem>(packed: &PackedA<E>, n: usize, b: &[E], out: &mut [E::Acc]) {
     let (m, k) = (packed.m, packed.k);
     assert_eq!(b.len(), k * n, "gemm_prepacked: b length");
     assert_eq!(out.len(), m * n, "gemm_prepacked: out length");
@@ -531,7 +753,7 @@ pub fn gemm_prepacked(packed: &PackedA, n: usize, b: &[f32], out: &mut [f32]) {
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        out.fill(E::Acc::default());
         return;
     }
     gemm_blocked(
@@ -550,7 +772,7 @@ pub fn gemm_prepacked(packed: &PackedA, n: usize, b: &[f32], out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the dimensions.
-pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+pub fn transpose<T: Copy>(src: &[T], rows: usize, cols: usize, dst: &mut [T]) {
     assert_eq!(src.len(), rows * cols, "transpose: src length");
     assert_eq!(dst.len(), rows * cols, "transpose: dst length");
     const B: usize = 32;
@@ -574,17 +796,63 @@ pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::microkernel::{SimdLevel, SUPPORTED_TILES};
+    use crate::microkernel::SUPPORTED_TILES;
     use crate::tune::TileConfig;
     use proptest::prelude::*;
+    use std::fmt::Debug;
 
-    fn naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
+    /// What the element-generic suite needs beyond [`GemmElem`].
+    trait TestElem:
+        GemmElem<Acc: Debug + PartialEq, Packed: Debug + PartialEq> + Debug + PartialEq
+    {
+        /// An output value every GEMM must overwrite.
+        const STALE: Self::Acc;
+        /// A panel value every packer must overwrite.
+        const POISON: Self::Packed;
+        /// An operand drawn from an LCG state.
+        fn from_lcg(s: u32) -> Self;
+    }
+
+    impl TestElem for f32 {
+        const STALE: f32 = -1.0;
+        const POISON: f32 = f32::NAN;
+        /// Exact-in-f32 values (1/16 steps, |v| < 8) so every association
+        /// — and even fused multiply-adds — produces the same bits, making
+        /// tiled results comparable to naive with equality.
+        fn from_lcg(s: u32) -> f32 {
+            ((s >> 24) as f32 - 128.0) / 16.0
+        }
+    }
+
+    impl TestElem for i8 {
+        const STALE: i32 = -1;
+        const POISON: i16 = i16::MIN;
+        /// The full i8 range including -128/127: integer accumulation is
+        /// exact, so no value restriction is needed.
+        fn from_lcg(s: u32) -> i8 {
+            (s >> 24) as i8
+        }
+    }
+
+    fn fill<E: TestElem>(len: usize, seed: u32) -> Vec<E> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                E::from_lcg(s)
+            })
+            .collect()
+    }
+
+    /// Ascending-k oracle with the element's own product and accumulate.
+    fn naive<E: TestElem>(m: usize, k: usize, n: usize, a: &[E], b: &[E]) -> Vec<E::Acc> {
+        let mut out = vec![E::Acc::default(); m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut acc = 0.0;
+                let mut acc = E::Acc::default();
                 for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
+                    acc =
+                        E::accumulate(acc, E::product(a[i * k + p].widen(), b[p * n + j].widen()));
                 }
                 out[i * n + j] = acc;
             }
@@ -592,21 +860,15 @@ mod tests {
         out
     }
 
-    fn fill(len: usize, seed: u32) -> Vec<f32> {
-        // Small LCG: exact-in-f32 values (1/16 steps, |v| < 8) so every
-        // association — and even fused multiply-adds — produces the same
-        // bits, making tiled results comparable to naive with equality.
-        let mut s = seed;
-        (0..len)
-            .map(|_| {
-                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-                ((s >> 24) as f32 - 128.0) / 16.0
-            })
-            .collect()
+    fn transposed<T: Copy + Default>(src: &[T], rows: usize, cols: usize) -> Vec<T> {
+        let mut dst = vec![T::default(); rows * cols];
+        transpose(src, rows, cols, &mut dst);
+        dst
     }
 
     /// Plans covering all supported tiles, degenerate blocking (every
-    /// block boundary exercised) and the active level's defaults.
+    /// block boundary exercised; odd `kc` leaves an i8 k-pair tail in
+    /// every block) and the active level's defaults.
     fn test_plans() -> Vec<GemmPlan> {
         let mut levels = vec![SimdLevel::Scalar];
         let detected = crate::microkernel::simd_level();
@@ -650,8 +912,7 @@ mod tests {
         plans
     }
 
-    #[test]
-    fn matches_naive_on_awkward_shapes() {
+    fn awkward_shapes<E: TestElem>() {
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (4, 8, 8),
@@ -661,9 +922,9 @@ mod tests {
             (33, 12, 41),
             (8, 100, 3),
         ] {
-            let a = fill(m * k, 1 + m as u32);
-            let b = fill(k * n, 99 + n as u32);
-            let mut out = vec![0.0f32; m * n];
+            let a = fill::<E>(m * k, 1 + m as u32);
+            let b = fill::<E>(k * n, 99 + n as u32);
+            let mut out = vec![E::Acc::default(); m * n];
             for threads in [1, 4] {
                 gemm(m, k, n, &a, &b, &mut out, &Pool::new(threads));
                 assert_eq!(out, naive(m, k, n, &a, &b), "{m}x{k}x{n} t{threads}");
@@ -671,72 +932,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_naive_across_plans() {
-        // Exact fill values make every kernel/blocking combination
-        // directly comparable to naive with equality.
+    /// Every plan — scalar and detected level, all tiles, odd/even kc —
+    /// matches naive with equality (exact inputs; for i8 this is the
+    /// bitwise parity acceptance criterion).
+    fn across_plans<E: TestElem>() {
         for &(m, k, n) in &[(5usize, 7usize, 9usize), (17, 23, 19), (33, 40, 31)] {
-            let a = fill(m * k, 2 + m as u32);
-            let b = fill(k * n, 7 + n as u32);
+            let a = fill::<E>(m * k, 2 + m as u32);
+            let b = fill::<E>(k * n, 7 + n as u32);
             let want = naive(m, k, n, &a, &b);
             for plan in test_plans() {
-                let mut out = vec![-1.0f32; m * n];
+                let mut out = vec![E::STALE; m * n];
                 gemm_with_plan(&plan, m, k, n, &a, &b, &mut out, &Pool::new(1));
                 assert_eq!(out, want, "{m}x{k}x{n} plan {}", plan.describe());
             }
         }
     }
 
-    #[test]
-    fn zero_k_yields_zero_output() {
-        let mut out = vec![1.0f32; 6];
-        gemm(2, 0, 3, &[], &[], &mut out, &Pool::new(2));
-        assert_eq!(out, vec![0.0; 6]);
+    fn zero_k<E: TestElem>() {
+        let mut out = vec![E::STALE; 6];
+        gemm::<E>(2, 0, 3, &[], &[], &mut out, &Pool::new(2));
+        assert_eq!(out, vec![E::Acc::default(); 6]);
     }
 
-    #[test]
-    fn empty_output_is_noop() {
+    fn empty_output<E: TestElem>() {
         let mut out = vec![];
-        gemm(0, 5, 3, &[], &fill(15, 3), &mut out, &Pool::new(2));
-        gemm(3, 5, 0, &fill(15, 3), &[], &mut out, &Pool::new(2));
+        gemm::<E>(0, 5, 3, &[], &fill(15, 3), &mut out, &Pool::new(2));
+        gemm::<E>(3, 5, 0, &fill(15, 3), &[], &mut out, &Pool::new(2));
     }
 
-    #[test]
-    fn transposed_variants_match_explicit_transpose() {
+    fn transposed_explicit<E: TestElem>() {
         let (m, k, n) = (9, 11, 7);
-        let a_t = fill(k * m, 5); // a stored as [k, m]
-        let b = fill(k * n, 6);
-        let b_t = fill(n * k, 7); // b stored as [n, k]
-        let a = fill(m * k, 8);
+        let a_t = fill::<E>(k * m, 5); // a stored as [k, m]
+        let b = fill::<E>(k * n, 6);
+        let b_t = fill::<E>(n * k, 7); // b stored as [n, k]
+        let a = fill::<E>(m * k, 8);
         let pool = Pool::new(2);
 
-        let mut at = vec![0.0; m * k];
-        transpose(&a_t, k, m, &mut at);
-        let mut got = vec![0.0; m * n];
+        let mut got = vec![E::Acc::default(); m * n];
         gemm_at(m, k, n, &a_t, &b, &mut got, &pool);
-        assert_eq!(got, naive(m, k, n, &at, &b));
+        assert_eq!(got, naive(m, k, n, &transposed(&a_t, k, m), &b));
 
-        let mut bt = vec![0.0; k * n];
-        transpose(&b_t, n, k, &mut bt);
         gemm_bt(m, k, n, &a, &b_t, &mut got, &pool);
-        assert_eq!(got, naive(m, k, n, &a, &bt));
+        assert_eq!(got, naive(m, k, n, &a, &transposed(&b_t, n, k)));
     }
 
-    #[test]
-    fn transposed_variants_match_across_plans() {
+    fn transposed_across_plans<E: TestElem>() {
         let (m, k, n) = (13, 19, 11);
-        let a_t = fill(k * m, 15);
-        let b = fill(k * n, 16);
-        let b_t = fill(n * k, 17);
-        let a = fill(m * k, 18);
-        let mut at = vec![0.0; m * k];
-        transpose(&a_t, k, m, &mut at);
-        let mut bt = vec![0.0; k * n];
-        transpose(&b_t, n, k, &mut bt);
-        let want_at = naive(m, k, n, &at, &b);
-        let want_bt = naive(m, k, n, &a, &bt);
+        let a_t = fill::<E>(k * m, 15);
+        let b = fill::<E>(k * n, 16);
+        let b_t = fill::<E>(n * k, 17);
+        let a = fill::<E>(m * k, 18);
+        let want_at = naive(m, k, n, &transposed(&a_t, k, m), &b);
+        let want_bt = naive(m, k, n, &a, &transposed(&b_t, n, k));
         for plan in test_plans() {
-            let mut got = vec![0.0; m * n];
+            let mut got = vec![E::Acc::default(); m * n];
             gemm_at_with_plan(&plan, m, k, n, &a_t, &b, &mut got, &Pool::new(1));
             assert_eq!(got, want_at, "gemm_at plan {}", plan.describe());
             gemm_bt_with_plan(&plan, m, k, n, &a, &b_t, &mut got, &Pool::new(1));
@@ -744,20 +993,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prepacked_matches_gemm_bitwise() {
+    fn prepacked_bitwise<E: TestElem>() {
         for plan in test_plans() {
             let (m, k) = (21, 29);
-            let a = fill(m * k, 31);
-            let a_t = fill(k * m, 32);
+            let a = fill::<E>(m * k, 31);
+            let a_t = fill::<E>(k * m, 32);
             let packed = PackedA::pack(&plan, m, k, &a);
             let packed_t = PackedA::pack_transposed(&plan, m, k, &a_t);
             assert_eq!((packed.m(), packed.k()), (m, k));
             for n in [1usize, 8, 13] {
-                let b = fill(k * n, 40 + n as u32);
-                let mut want = vec![0.0; m * n];
+                let b = fill::<E>(k * n, 40 + n as u32);
+                let mut want = vec![E::Acc::default(); m * n];
                 gemm_with_plan(&plan, m, k, n, &a, &b, &mut want, &Pool::new(1));
-                let mut got = vec![-1.0; m * n];
+                let mut got = vec![E::STALE; m * n];
                 gemm_prepacked(&packed, n, &b, &mut got);
                 assert_eq!(got, want, "prepacked n={n} plan {}", plan.describe());
 
@@ -768,116 +1016,233 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prepacked_degenerate_shapes() {
+    fn prepacked_degenerate<E: TestElem>() {
         let plan = *active_plan();
-        let packed = PackedA::pack(&plan, 0, 5, &[]);
+        let packed = PackedA::<E>::pack(&plan, 0, 5, &[]);
         gemm_prepacked(&packed, 3, &fill(15, 3), &mut []);
-        let packed = PackedA::pack(&plan, 2, 0, &[]);
-        let mut out = vec![1.0f32; 6];
+        let packed = PackedA::<E>::pack(&plan, 2, 0, &[]);
+        let mut out = vec![E::STALE; 6];
         gemm_prepacked(&packed, 3, &[], &mut out);
-        assert_eq!(out, vec![0.0; 6]);
+        assert_eq!(out, vec![E::Acc::default(); 6]);
     }
 
-    #[test]
-    fn large_gemm_parallel_matches_serial() {
-        let (m, k, n) = (70, 90, 65); // > PAR_MIN_MACS, all edges in play
-        let a = fill(m * k, 11);
-        let b = fill(k * n, 12);
-        let mut serial = vec![0.0; m * n];
-        let mut par = vec![0.0; m * n];
+    fn parallel_matches_serial<E: TestElem>() {
+        let (m, k, n) = (70, 91, 65); // > PAR_MIN_MACS, odd k, all edges in play
+        let a = fill::<E>(m * k, 11);
+        let b = fill::<E>(k * n, 12);
+        let mut serial = vec![E::Acc::default(); m * n];
+        let mut par = vec![E::Acc::default(); m * n];
         gemm(m, k, n, &a, &b, &mut serial, &Pool::new(1));
         gemm(m, k, n, &a, &b, &mut par, &Pool::new(8));
         assert_eq!(serial, par);
     }
 
+    /// Panel packing invariant on ragged/empty/single-row blocks: the
+    /// panel holds `a[i0+ib·mr+ii, p0+p]` widened inside the block and
+    /// exactly zero in padded lanes (rows past the block and the last
+    /// k-group's tail).
+    fn pack_a_layout<E: TestElem>(
+        (rows, k): (usize, usize),
+        (mri, frac_i, frac_p): (usize, f32, f32),
+        seed: u32,
+    ) -> Result<(), TestCaseError> {
+        let (mr, g) = (SUPPORTED_TILES[mri].0, E::KG);
+        let a = fill::<E>(rows * k, seed);
+        let i0 = ((rows as f32 * frac_i) as usize).min(rows);
+        let p0 = ((k as f32 * frac_p) as usize).min(k - 1);
+        let (mcb, kcb) = (rows - i0, k - p0);
+        let kp = kcb.div_ceil(g) * g;
+        let mut dst = vec![E::POISON; mcb.div_ceil(mr) * kp * mr];
+        pack_a(MatRef::row_major(&a, k), i0, p0, mcb, kcb, mr, &mut dst);
+        for ib in 0..mcb.div_ceil(mr) {
+            for p in 0..kp {
+                for ii in 0..mr {
+                    let got = dst[ib * kp * mr + (p / g) * mr * g + ii * g + p % g];
+                    if ib * mr + ii < mcb && p < kcb {
+                        let row = i0 + ib * mr + ii;
+                        prop_assert_eq!(got, a[row * k + p0 + p].widen());
+                    } else {
+                        prop_assert_eq!(got, E::Packed::default());
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Same invariant for B panels, including the strided (cs > 1) path
+    /// used by `gemm_bt`.
+    fn pack_b_layout<E: TestElem>(
+        (k, n): (usize, usize),
+        (nri, strided): (usize, bool),
+        seed: u32,
+    ) -> Result<(), TestCaseError> {
+        let (nr, g) = (SUPPORTED_TILES[nri].1, E::KG);
+        let b = fill::<E>(k * n, seed);
+        // Row-major [k, n] view, or the same logical matrix stored
+        // transposed [n, k] and viewed through strides.
+        let bt = transposed(&b, k, n);
+        let v = if strided {
+            MatRef::transposed(&bt, k)
+        } else {
+            MatRef::row_major(&b, n)
+        };
+        let kp = k.div_ceil(g) * g;
+        let mut dst = vec![E::POISON; n.div_ceil(nr) * kp * nr];
+        pack_b(v, 0, 0, k, n, nr, &mut dst);
+        for jb in 0..n.div_ceil(nr) {
+            for p in 0..kp {
+                for jj in 0..nr {
+                    let got = dst[jb * kp * nr + (p / g) * nr * g + jj * g + p % g];
+                    let col = jb * nr + jj;
+                    if col < n && p < k {
+                        prop_assert_eq!(got, b[p * n + col].widen(), "p={} col={}", p, col);
+                    } else {
+                        prop_assert_eq!(got, E::Packed::default());
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Blocked GEMM equals naive on arbitrary small shapes for every plan
+    /// (exact inputs → exact equality).
+    fn matches_naive<E: TestElem>(
+        (m, k, n): (usize, usize, usize),
+        seed: u32,
+    ) -> Result<(), TestCaseError> {
+        let a = fill::<E>(m * k, seed);
+        let b = fill::<E>(k * n, seed ^ 0xabcd);
+        let want = naive(m, k, n, &a, &b);
+        for plan in test_plans() {
+            let mut out = vec![E::STALE; m * n];
+            gemm_with_plan(&plan, m, k, n, &a, &b, &mut out, &Pool::new(1));
+            prop_assert_eq!(&out, &want, "{}x{}x{} plan {}", m, k, n, plan.describe());
+        }
+        Ok(())
+    }
+
+    /// The `#[test]` entry points of every element-generic check above,
+    /// instantiated for one element type.
+    macro_rules! suite {
+        ($e:ty) => {
+            #[test]
+            fn matches_naive_on_awkward_shapes() {
+                awkward_shapes::<$e>();
+            }
+
+            #[test]
+            fn matches_naive_across_plans() {
+                across_plans::<$e>();
+            }
+
+            #[test]
+            fn zero_k_yields_zero_output() {
+                zero_k::<$e>();
+            }
+
+            #[test]
+            fn empty_output_is_noop() {
+                empty_output::<$e>();
+            }
+
+            #[test]
+            fn transposed_variants_match_explicit_transpose() {
+                transposed_explicit::<$e>();
+            }
+
+            #[test]
+            fn transposed_variants_match_across_plans() {
+                transposed_across_plans::<$e>();
+            }
+
+            #[test]
+            fn prepacked_matches_gemm_bitwise() {
+                prepacked_bitwise::<$e>();
+            }
+
+            #[test]
+            fn prepacked_degenerate_shapes() {
+                prepacked_degenerate::<$e>();
+            }
+
+            #[test]
+            fn large_gemm_parallel_matches_serial() {
+                parallel_matches_serial::<$e>();
+            }
+
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(48))]
+
+                #[test]
+                fn pack_a_layout_invariant(
+                    shape in (0usize..12, 1usize..15),
+                    pos in (0usize..SUPPORTED_TILES.len(), 0.0f32..1.0, 0.0f32..1.0),
+                    seed in 0u32..1000,
+                ) {
+                    pack_a_layout::<$e>(shape, pos, seed)?;
+                }
+
+                #[test]
+                fn pack_b_layout_invariant(
+                    shape in (1usize..15, 0usize..20),
+                    view in (0usize..SUPPORTED_TILES.len(), any::<bool>()),
+                    seed in 0u32..1000,
+                ) {
+                    pack_b_layout::<$e>(shape, view, seed)?;
+                }
+
+                #[test]
+                fn gemm_matches_naive_proptest(
+                    shape in (0usize..12, 0usize..12, 0usize..12),
+                    seed in 0u32..1000,
+                ) {
+                    matches_naive::<$e>(shape, seed)?;
+                }
+            }
+        };
+    }
+
+    suite!(f32);
+
+    /// The i8 instantiation; `i8` in every test path keeps the cases
+    /// under the forced-scalar CI leg's `i8` name filter.
+    mod gemm_i8 {
+        use super::*;
+
+        suite!(i8);
+
+        /// Extreme magnitudes: every element ±128/±127 for maximal
+        /// partial products — guards the `pmaddwd` saturation analysis
+        /// (no i16 saturation can occur with sign-extended i8 pairs).
+        #[test]
+        fn extreme_values_stay_exact() {
+            let (m, k, n) = (8, 33, 16);
+            let a: Vec<i8> = (0..m * k)
+                .map(|i| if i % 2 == 0 { -128 } else { 127 })
+                .collect();
+            let b: Vec<i8> = (0..k * n)
+                .map(|i| if i % 3 == 0 { 127 } else { -128 })
+                .collect();
+            let want = naive(m, k, n, &a, &b);
+            for plan in test_plans() {
+                let mut out = vec![0i32; m * n];
+                gemm_with_plan(&plan, m, k, n, &a, &b, &mut out, &Pool::new(1));
+                assert_eq!(out, want, "plan {}", plan.describe());
+            }
+        }
+    }
+
     #[test]
     fn transpose_roundtrip() {
-        let src = fill(5 * 9, 42);
-        let mut t = vec![0.0; 45];
-        let mut back = vec![0.0; 45];
-        transpose(&src, 5, 9, &mut t);
-        transpose(&t, 9, 5, &mut back);
-        assert_eq!(src, back);
+        let src = fill::<f32>(5 * 9, 42);
+        let t = transposed(&src, 5, 9);
+        assert_eq!(src, transposed(&t, 9, 5));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Panel packing invariant on ragged/empty/single-row blocks:
-        /// `panel[p·mr + ii]` is `a[(i0+ib·mr+ii), (p0+p)]` inside the
-        /// block and exactly 0.0 in padded lanes.
-        #[test]
-        fn pack_a_layout_invariant(
-            (rows, k) in (0usize..12, 1usize..15),
-            (mri, frac_i, frac_p) in (0usize..SUPPORTED_TILES.len(), 0.0f32..1.0, 0.0f32..1.0),
-            seed in 0u32..1000,
-        ) {
-            let mr = SUPPORTED_TILES[mri].0;
-            let a = fill(rows * k, seed);
-            let v = MatRef::row_major(&a, k);
-            let i0 = ((rows as f32 * frac_i) as usize).min(rows);
-            let p0 = ((k as f32 * frac_p) as usize).min(k - 1);
-            let mcb = rows - i0;
-            let kcb = k - p0;
-            let mut dst = vec![f32::NAN; mcb.div_ceil(mr) * kcb * mr];
-            pack_a(v, i0, p0, mcb, kcb, mr, &mut dst);
-            for ib in 0..mcb.div_ceil(mr) {
-                for p in 0..kcb {
-                    for ii in 0..mr {
-                        let got = dst[ib * kcb * mr + p * mr + ii];
-                        let row = i0 + ib * mr + ii;
-                        if ib * mr + ii < mcb {
-                            prop_assert_eq!(got, a[row * k + p0 + p]);
-                        } else {
-                            prop_assert_eq!(got, 0.0);
-                        }
-                    }
-                }
-            }
-        }
-
-        /// Same invariant for B panels, including the strided (cs > 1)
-        /// path used by `gemm_bt`.
-        #[test]
-        fn pack_b_layout_invariant(
-            (k, n) in (1usize..15, 0usize..20),
-            (nri, strided) in (0usize..SUPPORTED_TILES.len(), any::<bool>()),
-            seed in 0u32..1000,
-        ) {
-            let nr = SUPPORTED_TILES[nri].1;
-            let b = fill(k * n, seed);
-            // Row-major [k, n] view, or the same logical matrix stored
-            // transposed [n, k] and viewed through strides.
-            let bt: Vec<f32>;
-            let v = if !strided {
-                MatRef::row_major(&b, n)
-            } else {
-                let mut t = vec![0.0; k * n];
-                if k * n > 0 {
-                    transpose(&b, k, n, &mut t);
-                }
-                bt = t;
-                MatRef { data: &bt, off: 0, rs: 1, cs: k }
-            };
-            let kcb = k;
-            let ncb = n;
-            let mut dst = vec![f32::NAN; ncb.div_ceil(nr) * kcb * nr];
-            pack_b(v, 0, 0, kcb, ncb, nr, &mut dst);
-            for jb in 0..ncb.div_ceil(nr) {
-                for p in 0..kcb {
-                    for jj in 0..nr {
-                        let got = dst[jb * kcb * nr + p * nr + jj];
-                        let col = jb * nr + jj;
-                        if col < ncb {
-                            prop_assert_eq!(got, b[p * n + col], "p={} col={}", p, col);
-                        } else {
-                            prop_assert_eq!(got, 0.0);
-                        }
-                    }
-                }
-            }
-        }
 
         /// Transpose on ragged/empty/single-row shapes: element map plus
         /// double-transpose identity.
@@ -886,7 +1251,7 @@ mod tests {
             (rows, cols) in (0usize..40, 0usize..40),
             seed in 0u32..1000,
         ) {
-            let src = fill(rows * cols, seed);
+            let src = fill::<f32>(rows * cols, seed);
             let mut dst = vec![f32::NAN; rows * cols];
             transpose(&src, rows, cols, &mut dst);
             for r in 0..rows {
@@ -897,23 +1262,6 @@ mod tests {
             let mut back = vec![f32::NAN; rows * cols];
             transpose(&dst, cols, rows, &mut back);
             prop_assert_eq!(back, src);
-        }
-
-        /// Blocked GEMM equals naive on arbitrary small shapes for every
-        /// plan (exact inputs → exact equality).
-        #[test]
-        fn gemm_matches_naive_proptest(
-            (m, k, n) in (0usize..12, 0usize..12, 0usize..12),
-            seed in 0u32..1000,
-        ) {
-            let a = fill(m * k, seed);
-            let b = fill(k * n, seed ^ 0xabcd);
-            let want = naive(m, k, n, &a, &b);
-            for plan in test_plans() {
-                let mut out = vec![-1.0f32; m * n];
-                gemm_with_plan(&plan, m, k, n, &a, &b, &mut out, &Pool::new(1));
-                prop_assert_eq!(&out, &want, "{}x{}x{} plan {}", m, k, n, plan.describe());
-            }
         }
     }
 }

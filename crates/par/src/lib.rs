@@ -16,13 +16,14 @@
 //!   KC/MC/NC panel blocking with packed-operand reuse, parameterized by
 //!   a tunable [`GemmPlan`] (see [`active_plan`] and the `cq-tune`
 //!   crate). The transposed variants pack their transposed operand
-//!   directly — no scratch transpose.
-//! * [`gemm_i8`], [`gemm_i8_at`], [`gemm_i8_bt`] — the dequantization-free
-//!   integer twins: i8×i8→i32 under the same blocking hierarchy, with
-//!   AVX2 `vpmaddwd` micro-kernels (two reduction steps per instruction)
-//!   and a scalar fallback that reproduces their wrapping-i32 semantics
-//!   exactly. Integer accumulation is associative, so these are bitwise
-//!   identical across SIMD levels *and* thread counts.
+//!   directly — no scratch transpose. One driver serves every
+//!   [`GemmElem`]: `f32`, and the dequantization-free `i8` path
+//!   (i8×i8→i32 with AVX2 `vpmaddwd` / VNNI micro-kernels that retire
+//!   two reduction steps per instruction, and a scalar fallback that
+//!   reproduces their wrapping-i32 semantics exactly). Integer
+//!   accumulation is associative, so the i8 results are bitwise
+//!   identical across SIMD levels *and* thread counts. [`gemm_i8`] names
+//!   the i8 instantiation.
 //! * [`PackedA`] / [`gemm_prepacked`] — pack a left operand once, reuse
 //!   its panels across many GEMMs (the im2col conv paths multiply one
 //!   weight matrix against every image's patch matrix).
@@ -69,7 +70,6 @@
 mod catch;
 pub mod conv;
 mod gemm;
-mod gemm_i8;
 mod microkernel;
 mod pool;
 pub mod queue;
@@ -77,11 +77,8 @@ pub mod tune;
 
 pub use catch::catch_task;
 pub use gemm::{
-    gemm, gemm_at, gemm_at_with_plan, gemm_bt, gemm_bt_with_plan, gemm_prepacked, gemm_with_plan,
-    transpose, PackedA,
-};
-pub use gemm_i8::{
-    gemm_i8, gemm_i8_at, gemm_i8_at_with_plan, gemm_i8_bt, gemm_i8_bt_with_plan, gemm_i8_with_plan,
+    gemm, gemm_at, gemm_at_with_plan, gemm_bt, gemm_bt_with_plan, gemm_i8, gemm_prepacked,
+    gemm_with_plan, transpose, GemmElem, PackedA,
 };
 pub use microkernel::{simd_level, SimdLevel, SUPPORTED_TILES};
 pub use pool::Pool;

@@ -1,21 +1,25 @@
 //! Register-tile micro-kernels: the innermost loops of the blocked GEMM.
 //!
 //! A micro-kernel computes one `MR × NR` tile of the output from packed
-//! operand panels (`ap`: `k × MR` interleaved A, `bp`: `k × NR` packed B),
-//! either overwriting the tile or accumulating into it (the `KC` panel
-//! loop above sums partial products block by block).
+//! operand panels (`ap`: `k × MR` interleaved A, `bp`: `k × NR` packed B,
+//! both in the element type's k-groups), either overwriting the tile or
+//! accumulating into it (the `KC` panel loop above sums partial products
+//! block by block).
 //!
-//! Two families exist behind one function-pointer type:
+//! Two families exist behind one function-pointer type per element type
+//! ([`KernFn`]):
 //!
 //! * **scalar** — portable const-generic Rust, compiled for every
-//!   supported `(MR, NR)` pair. Multiplies and adds round separately, so
-//!   with the default `(6, 8)` tile and a single `KC` block the results
-//!   are exactly the historical cq-par kernel's.
-//! * **avx2** — `std::arch` AVX2+FMA intrinsics (x86_64 only), holding
-//!   the whole tile in `__m256` accumulators and issuing one fused
-//!   multiply-add per lane per `k` step. FMA skips the intermediate
+//!   element type and supported `(MR, NR)` pair. f32 multiplies and adds
+//!   round separately, so with the default `(6, 8)` tile and a single
+//!   `KC` block the results are exactly the historical cq-par kernel's.
+//! * **avx2** — `std::arch` intrinsics (x86_64 only). The f32 kernels
+//!   hold the whole tile in `__m256` accumulators and issue one fused
+//!   multiply-add per lane per `k` step; FMA skips the intermediate
 //!   rounding of `a*b`, so results differ from scalar within the
-//!   documented backend-parity tolerance (`k · amax · bmax · 8ε`).
+//!   documented backend-parity tolerance (`k · amax · bmax · 8ε`). The
+//!   i8 kernels (`vpmaddwd`, AVX-VNNI, AVX-512 VNNI) are exact and
+//!   bitwise identical to the scalar one.
 //!
 //! The family is chosen once per process by [`simd_level`]: the `CQ_SIMD`
 //! environment variable (`auto` / `scalar` / `avx2`) filtered through
@@ -34,6 +38,7 @@
 // runtime feature detection in `simd_level()`.
 #![allow(unsafe_code)]
 
+use crate::gemm::GemmElem;
 use std::sync::OnceLock;
 
 /// Largest `MR` any registered kernel uses (sizes the edge-tile scratch).
@@ -73,42 +78,65 @@ impl SimdLevel {
     }
 }
 
-/// A micro-kernel entry point.
+/// A micro-kernel entry point for element type `E` (see
+/// [`GemmElem`]).
 ///
-/// Computes the full `MR × NR` tile: `c[i, j] (+)= Σ_p ap[p·MR + i] ·
-/// bp[p·NR + j]`, writing row `i` at `c + i·ldc`.
+/// Computes the full `MR × NR` tile over `kg` k-groups of `G =
+/// E::KG` reduction steps from panels packed as `ap[g·MR·G + i·G + s]
+/// = A[i, G·g + s]` and `bp[g·NR·G + j·G + s] = B[G·g + s, j]`:
+/// `c[i, j] (+)= Σ ap[..] · bp[..]`, writing row `i` at `c + i·ldc`.
+/// For f32 (`G = 1`) that is `k` plain steps; for i8 it is `kp` k-pairs
+/// of sign-extended i16 with **wrapping** i32 accumulation — integer
+/// addition is associative, so i8 results are bitwise identical across
+/// SIMD levels, thread counts and blockings (unlike the f32 family's
+/// FMA caveat).
 ///
 /// # Safety
 ///
-/// * `ap` must hold `k·MR` floats and `bp` `k·NR` floats.
-/// * `c` must be valid for reads/writes of `NR` floats at each of the
-///   `MR` row offsets `i·ldc`.
-/// * AVX2 kernels additionally require the CPU to support AVX2 and FMA
-///   (guaranteed by [`simd_level`] at registry construction).
-pub(crate) type KernFn =
-    unsafe fn(k: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize, accumulate: bool);
+/// * `ap` must hold `kg·MR·G` and `bp` `kg·NR·G` panel elements.
+/// * `c` must be valid for reads/writes of `NR` accumulators at each of
+///   the `MR` row offsets `i·ldc`.
+/// * SIMD kernels additionally require the CPU features they were
+///   compiled for (guaranteed by [`simd_level`] and the registry's
+///   runtime detection).
+pub(crate) type KernFn<E> = unsafe fn(
+    kg: usize,
+    ap: *const <E as GemmElem>::Packed,
+    bp: *const <E as GemmElem>::Packed,
+    c: *mut <E as GemmElem>::Acc,
+    ldc: usize,
+    accumulate: bool,
+);
 
-/// Portable reference kernel, monomorphized per `(MR, NR)`.
+/// Portable reference kernel, monomorphized per element type and
+/// `(MR, NR)`.
+///
+/// Accumulates one k-step at a time with the type's own product and
+/// accumulate operation: for f32 multiplies and adds round separately,
+/// like the naive loops; for i8 it reproduces `pmaddwd` + `paddd`
+/// exactly (each pair product is exact in i32, and wrapping adds
+/// reassociate freely).
 ///
 /// # Safety
 ///
 /// See [`KernFn`].
-unsafe fn scalar_kern<const MR: usize, const NR: usize>(
-    k: usize,
-    ap: *const f32,
-    bp: *const f32,
-    c: *mut f32,
+unsafe fn scalar_kern<E: GemmElem, const MR: usize, const NR: usize>(
+    kg: usize,
+    ap: *const E::Packed,
+    bp: *const E::Packed,
+    c: *mut E::Acc,
     ldc: usize,
     accumulate: bool,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..k {
-        let a = ap.add(p * MR);
-        let b = bp.add(p * NR);
+    let g = E::KG;
+    let mut acc = [[E::Acc::default(); NR]; MR];
+    for p in 0..kg * g {
+        let a = ap.add((p / g) * MR * g + p % g);
+        let b = bp.add((p / g) * NR * g + p % g);
         for (i, row) in acc.iter_mut().enumerate() {
-            let av = *a.add(i);
+            let av = *a.add(i * g);
             for (j, cell) in row.iter_mut().enumerate() {
-                *cell += av * *b.add(j);
+                *cell = E::accumulate(*cell, E::product(av, *b.add(j * g)));
             }
         }
     }
@@ -116,70 +144,7 @@ unsafe fn scalar_kern<const MR: usize, const NR: usize>(
         let crow = c.add(i * ldc);
         for (j, &v) in row.iter().enumerate() {
             if accumulate {
-                *crow.add(j) += v;
-            } else {
-                *crow.add(j) = v;
-            }
-        }
-    }
-}
-
-/// An integer micro-kernel entry point (the i8×i8→i32 GEMM family).
-///
-/// Operands are packed as sign-extended `i16` in **k-pairs**: for
-/// k-pair `pp`, `ap[pp·MR·2 + i·2 + s]` holds `A[i, 2pp+s]` and
-/// `bp[pp·NR·2 + j·2 + s]` holds `B[2pp+s, j]` (`s ∈ {0, 1}`; the odd
-/// tail of `k` and ragged tile edges are zero-padded by the packers).
-/// Computes `c[i, j] (+)= Σ_pp Σ_s ap[..] · bp[..]` over `kp` k-pairs
-/// with **wrapping** i32 accumulation — integer addition is associative,
-/// so results are bitwise identical across SIMD levels, thread counts
-/// and blockings (unlike the f32 family's FMA caveat).
-///
-/// # Safety
-///
-/// * `ap` must hold `kp·MR·2` i16s and `bp` `kp·NR·2` i16s.
-/// * `c` must be valid for reads/writes of `NR` i32s at each of the
-///   `MR` row offsets `i·ldc`.
-/// * AVX2 kernels additionally require CPU AVX2 support (guaranteed by
-///   [`simd_level`] at registry construction).
-pub(crate) type KernI8Fn =
-    unsafe fn(kp: usize, ap: *const i16, bp: *const i16, c: *mut i32, ldc: usize, accumulate: bool);
-
-/// Portable reference i8 kernel, monomorphized per `(MR, NR)`.
-///
-/// Mirrors `pmaddwd` semantics exactly: each k-pair contributes
-/// `a0·b0 + a1·b1` (exact in i32 for i8-ranged operands), accumulated
-/// with wrapping adds like `paddd`.
-///
-/// # Safety
-///
-/// See [`KernI8Fn`].
-unsafe fn scalar_kern_i8<const MR: usize, const NR: usize>(
-    kp: usize,
-    ap: *const i16,
-    bp: *const i16,
-    c: *mut i32,
-    ldc: usize,
-    accumulate: bool,
-) {
-    let mut acc = [[0i32; NR]; MR];
-    for pp in 0..kp {
-        let a = ap.add(pp * MR * 2);
-        let b = bp.add(pp * NR * 2);
-        for (i, row) in acc.iter_mut().enumerate() {
-            let a0 = *a.add(i * 2) as i32;
-            let a1 = *a.add(i * 2 + 1) as i32;
-            for (j, cell) in row.iter_mut().enumerate() {
-                let pair = a0 * *b.add(j * 2) as i32 + a1 * *b.add(j * 2 + 1) as i32;
-                *cell = cell.wrapping_add(pair);
-            }
-        }
-    }
-    for (i, row) in acc.iter().enumerate() {
-        let crow = c.add(i * ldc);
-        for (j, &v) in row.iter().enumerate() {
-            if accumulate {
-                *crow.add(j) = (*crow.add(j)).wrapping_add(v);
+                *crow.add(j) = E::accumulate(*crow.add(j), v);
             } else {
                 *crow.add(j) = v;
             }
@@ -478,23 +443,23 @@ mod avx2 {
 
 /// Looks up the kernel for a `(level, mr, nr)` triple; `None` if the pair
 /// is not in [`SUPPORTED_TILES`] (or the level lacks it on this target).
-pub(crate) fn kernel_for(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn> {
+pub(crate) fn kernel_for(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<f32>> {
     match level {
         SimdLevel::Scalar => match (mr, nr) {
-            (4, 8) => Some(scalar_kern::<4, 8> as KernFn),
-            (6, 8) => Some(scalar_kern::<6, 8> as KernFn),
-            (8, 8) => Some(scalar_kern::<8, 8> as KernFn),
-            (4, 16) => Some(scalar_kern::<4, 16> as KernFn),
-            (6, 16) => Some(scalar_kern::<6, 16> as KernFn),
+            (4, 8) => Some(scalar_kern::<f32, 4, 8> as KernFn<f32>),
+            (6, 8) => Some(scalar_kern::<f32, 6, 8> as KernFn<f32>),
+            (8, 8) => Some(scalar_kern::<f32, 8, 8> as KernFn<f32>),
+            (4, 16) => Some(scalar_kern::<f32, 4, 16> as KernFn<f32>),
+            (6, 16) => Some(scalar_kern::<f32, 6, 16> as KernFn<f32>),
             _ => None,
         },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => match (mr, nr) {
-            (4, 8) => Some(avx2::kern_4x8 as KernFn),
-            (6, 8) => Some(avx2::kern_6x8 as KernFn),
-            (8, 8) => Some(avx2::kern_8x8 as KernFn),
-            (4, 16) => Some(avx2::kern_4x16 as KernFn),
-            (6, 16) => Some(avx2::kern_6x16 as KernFn),
+            (4, 8) => Some(avx2::kern_4x8 as KernFn<f32>),
+            (6, 8) => Some(avx2::kern_6x8 as KernFn<f32>),
+            (8, 8) => Some(avx2::kern_8x8 as KernFn<f32>),
+            (4, 16) => Some(avx2::kern_4x16 as KernFn<f32>),
+            (6, 16) => Some(avx2::kern_6x16 as KernFn<f32>),
             _ => None,
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -506,14 +471,14 @@ pub(crate) fn kernel_for(level: SimdLevel, mr: usize, nr: usize) -> Option<KernF
 /// if the pair is not in [`SUPPORTED_TILES`] (or the level lacks it on
 /// this target). Every tile with an f32 kernel has an i8 sibling, so a
 /// valid [`crate::GemmPlan`] always resolves one.
-pub(crate) fn kernel_i8_for(level: SimdLevel, mr: usize, nr: usize) -> Option<KernI8Fn> {
+pub(crate) fn kernel_i8_for(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<i8>> {
     match level {
         SimdLevel::Scalar => match (mr, nr) {
-            (4, 8) => Some(scalar_kern_i8::<4, 8> as KernI8Fn),
-            (6, 8) => Some(scalar_kern_i8::<6, 8> as KernI8Fn),
-            (8, 8) => Some(scalar_kern_i8::<8, 8> as KernI8Fn),
-            (4, 16) => Some(scalar_kern_i8::<4, 16> as KernI8Fn),
-            (6, 16) => Some(scalar_kern_i8::<6, 16> as KernI8Fn),
+            (4, 8) => Some(scalar_kern::<i8, 4, 8> as KernFn<i8>),
+            (6, 8) => Some(scalar_kern::<i8, 6, 8> as KernFn<i8>),
+            (8, 8) => Some(scalar_kern::<i8, 8, 8> as KernFn<i8>),
+            (4, 16) => Some(scalar_kern::<i8, 4, 16> as KernFn<i8>),
+            (6, 16) => Some(scalar_kern::<i8, 6, 16> as KernFn<i8>),
             _ => None,
         },
         // Within the Avx2 level the i8 registry sub-dispatches on VNNI
@@ -524,26 +489,26 @@ pub(crate) fn kernel_i8_for(level: SimdLevel, mr: usize, nr: usize) -> Option<Ke
         // parity contract, only throughput.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if avx2::vnni512_available() && nr == 16 => match (mr, nr) {
-            (4, 16) => Some(avx2::kern_i8z_4x16 as KernI8Fn),
-            (6, 16) => Some(avx2::kern_i8z_6x16 as KernI8Fn),
+            (4, 16) => Some(avx2::kern_i8z_4x16 as KernFn<i8>),
+            (6, 16) => Some(avx2::kern_i8z_6x16 as KernFn<i8>),
             _ => None,
         },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if avx2::vnni_available() => match (mr, nr) {
-            (4, 8) => Some(avx2::kern_i8v_4x8 as KernI8Fn),
-            (6, 8) => Some(avx2::kern_i8v_6x8 as KernI8Fn),
-            (8, 8) => Some(avx2::kern_i8v_8x8 as KernI8Fn),
-            (4, 16) => Some(avx2::kern_i8v_4x16 as KernI8Fn),
-            (6, 16) => Some(avx2::kern_i8v_6x16 as KernI8Fn),
+            (4, 8) => Some(avx2::kern_i8v_4x8 as KernFn<i8>),
+            (6, 8) => Some(avx2::kern_i8v_6x8 as KernFn<i8>),
+            (8, 8) => Some(avx2::kern_i8v_8x8 as KernFn<i8>),
+            (4, 16) => Some(avx2::kern_i8v_4x16 as KernFn<i8>),
+            (6, 16) => Some(avx2::kern_i8v_6x16 as KernFn<i8>),
             _ => None,
         },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => match (mr, nr) {
-            (4, 8) => Some(avx2::kern_i8_4x8 as KernI8Fn),
-            (6, 8) => Some(avx2::kern_i8_6x8 as KernI8Fn),
-            (8, 8) => Some(avx2::kern_i8_8x8 as KernI8Fn),
-            (4, 16) => Some(avx2::kern_i8_4x16 as KernI8Fn),
-            (6, 16) => Some(avx2::kern_i8_6x16 as KernI8Fn),
+            (4, 8) => Some(avx2::kern_i8_4x8 as KernFn<i8>),
+            (6, 8) => Some(avx2::kern_i8_6x8 as KernFn<i8>),
+            (8, 8) => Some(avx2::kern_i8_8x8 as KernFn<i8>),
+            (4, 16) => Some(avx2::kern_i8_4x16 as KernFn<i8>),
+            (6, 16) => Some(avx2::kern_i8_6x16 as KernFn<i8>),
             _ => None,
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -720,7 +685,7 @@ mod tests {
         if !avx2_available() || !avx2::vnni_available() {
             return;
         }
-        let pairs: [(KernI8Fn, KernI8Fn, usize, usize); 5] = [
+        let pairs: [(KernFn<i8>, KernFn<i8>, usize, usize); 5] = [
             (avx2::kern_i8_4x8, avx2::kern_i8v_4x8, 4, 8),
             (avx2::kern_i8_6x8, avx2::kern_i8v_6x8, 6, 8),
             (avx2::kern_i8_8x8, avx2::kern_i8v_8x8, 8, 8),
@@ -745,8 +710,8 @@ mod tests {
             assert_eq!(c1, c2, "vnni/madd mismatch {mr}x{nr}");
             if avx2::vnni512_available() && nr == 16 {
                 let zkern = match mr {
-                    4 => avx2::kern_i8z_4x16 as KernI8Fn,
-                    6 => avx2::kern_i8z_6x16 as KernI8Fn,
+                    4 => avx2::kern_i8z_4x16 as KernFn<i8>,
+                    6 => avx2::kern_i8z_6x16 as KernFn<i8>,
                     _ => continue,
                 };
                 let mut c3 = vec![5i32; mr * nr];

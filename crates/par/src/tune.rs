@@ -1,6 +1,6 @@
 //! Blocking configuration for the three-level GEMM: register-tile shape
 //! `(MR, NR)` plus cache-block sizes `(KC, MC, NC)`, bundled with the
-//! matching micro-kernel as a [`GemmPlan`].
+//! matching micro-kernel of every element type as a [`GemmPlan`].
 //!
 //! The plan every public `gemm*` entry point uses is resolved once per
 //! process by [`active_plan`]:
@@ -29,9 +29,8 @@
 //! all hard errors, matching the strict `CQ_BACKEND`/`CQ_THREADS`
 //! validation precedent.
 
-use crate::microkernel::{
-    kernel_for, simd_level, KernFn, SimdLevel, MAX_MR, MAX_NR, SUPPORTED_TILES,
-};
+use crate::gemm::GemmElem;
+use crate::microkernel::{simd_level, KernFn, SimdLevel, MAX_MR, MAX_NR, SUPPORTED_TILES};
 use std::sync::OnceLock;
 
 /// Blocking parameters for the three-level GEMM loop nest.
@@ -77,14 +76,16 @@ impl TileConfig {
 }
 
 /// A validated, runnable GEMM configuration: SIMD level, blocking, and
-/// the resolved micro-kernel function.
+/// the resolved micro-kernel of each [`GemmElem`] type, so one plan runs
+/// both the f32 and the i8 GEMM.
 #[derive(Clone, Copy)]
 pub struct GemmPlan {
     /// Micro-kernel family the plan was built for.
     pub simd: SimdLevel,
     /// Blocking parameters.
     pub cfg: TileConfig,
-    pub(crate) kern: KernFn,
+    pub(crate) kern: KernFn<f32>,
+    pub(crate) kern_i8: KernFn<i8>,
 }
 
 impl std::fmt::Debug for GemmPlan {
@@ -99,19 +100,17 @@ impl std::fmt::Debug for GemmPlan {
 impl GemmPlan {
     /// Builds a plan from a SIMD level and blocking config.
     ///
-    /// Fails if the config is invalid or the level has no kernel for the
-    /// requested tile on this target.
+    /// Fails if the config is invalid or the level lacks the f32 or the
+    /// i8 kernel for the requested tile on this target — a built plan
+    /// runs every element type.
     pub fn new(simd: SimdLevel, cfg: TileConfig) -> Result<GemmPlan, String> {
         cfg.validate()?;
-        let kern = kernel_for(simd, cfg.mr, cfg.nr).ok_or_else(|| {
-            format!(
-                "no {} micro-kernel for tile {}x{} on this target",
-                simd.name(),
-                cfg.mr,
-                cfg.nr
-            )
-        })?;
-        Ok(GemmPlan { simd, cfg, kern })
+        Ok(GemmPlan {
+            simd,
+            cfg,
+            kern: resolve::<f32>(simd, &cfg)?,
+            kern_i8: resolve::<i8>(simd, &cfg)?,
+        })
     }
 
     /// One-line human-readable description (`avx2 6x16 kc=256 mc=72 nc=1024`).
@@ -126,6 +125,19 @@ impl GemmPlan {
             self.cfg.nc
         )
     }
+}
+
+/// `E`'s micro-kernel for the tile of `cfg` at `simd`.
+fn resolve<E: GemmElem>(simd: SimdLevel, cfg: &TileConfig) -> Result<KernFn<E>, String> {
+    E::lookup(simd, cfg.mr, cfg.nr).ok_or_else(|| {
+        format!(
+            "no {} {} micro-kernel for tile {}x{} on this target",
+            simd.name(),
+            std::any::type_name::<E>(),
+            cfg.mr,
+            cfg.nr
+        )
+    })
 }
 
 /// Header line every profile must start with.
@@ -358,5 +370,31 @@ mod tests {
     fn plan_new_rejects_invalid() {
         assert!(GemmPlan::new(SimdLevel::Scalar, cfg(6, 8, 256, 72, 512)).is_ok());
         assert!(GemmPlan::new(SimdLevel::Scalar, cfg(5, 8, 256, 72, 512)).is_err());
+        // A plan holds a kernel of every element type: each supported
+        // tile resolves both at every level this target compiles, and a
+        // missing kernel is rejected naming its element type.
+        let mut levels = vec![SimdLevel::Scalar];
+        if cfg!(target_arch = "x86_64") {
+            levels.push(SimdLevel::Avx2);
+        } else {
+            let err = GemmPlan::new(SimdLevel::Avx2, cfg(6, 8, 256, 72, 512)).unwrap_err();
+            assert!(err.contains("no avx2 f32 micro-kernel"), "{err}");
+        }
+        for level in levels {
+            for &(mr, nr) in &SUPPORTED_TILES {
+                assert!(GemmPlan::new(level, cfg(mr, nr, 3, mr, nr)).is_ok());
+            }
+        }
+        let bad = cfg(5, 8, 256, 72, 512);
+        let err = resolve::<f32>(SimdLevel::Scalar, &bad).unwrap_err();
+        assert!(
+            err.contains("no scalar f32 micro-kernel for tile 5x8"),
+            "{err}"
+        );
+        let err = resolve::<i8>(SimdLevel::Scalar, &bad).unwrap_err();
+        assert!(
+            err.contains("no scalar i8 micro-kernel for tile 5x8"),
+            "{err}"
+        );
     }
 }

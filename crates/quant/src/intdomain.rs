@@ -14,9 +14,10 @@
 //!    ladder scale `s_base = θ / (qmax · 2^(W−1))`; each element is
 //!    quantized **once** as `y = round(x / s_base)` (the only f32 loop).
 //! 2. **Shift-derived candidates.** Candidate `i ∈ 0..W` uses scale
-//!    `s_i = s_base · 2^(W−1−i)` — exactly the [`CandidateStrategy::ClipSweep`]
-//!    ladder `θ/2^i` re-anchored at the fine end. Its codes are obtained
-//!    from `y` by an integer shift with round-half-away-from-zero:
+//!    `s_i = s_base · 2^(W−1−i)` — exactly the
+//!    [`crate::CandidateStrategy::ClipSweep`] ladder `θ/2^i` re-anchored
+//!    at the fine end. Its codes are obtained from `y` by an integer
+//!    shift with round-half-away-from-zero:
 //!    `c = sign(y) · ((|y| + 2^(t−1)) >> t)` clamped to `[qmin, qmax]`,
 //!    where `t = W−1−i`. No division, no multiplication.
 //! 3. **Integer error folds.** Each candidate's rectilinear error is
@@ -28,9 +29,9 @@
 //!    together with `s_sel = s_base · 2^t` — an *exact* f32 multiply,
 //!    guarded at runtime by the same power-of-two predicate
 //!    ([`crate::fast::pow2_multiplier`]) the shared-quotient shortcut
-//!    uses. Downstream, the i8×i8→i32 GEMM (`cq_par::gemm_i8`) consumes
-//!    the codes directly and the product is rescaled **once** at the
-//!    output by `s_x · s_w`.
+//!    uses. Downstream, the i8×i8→i32 GEMM (`cq_par::gemm` on `i8`)
+//!    consumes the codes directly and the product is rescaled **once** at
+//!    the output by `s_x · s_w`.
 //!
 //! # Shift-rounding error model
 //!

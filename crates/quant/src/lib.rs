@@ -16,7 +16,8 @@
 //!   training quantizers (Zhu 2019 / Zhang 2020, each ± HQT);
 //! * [`intdomain`]: the dequantization-free integer-domain strategy — one
 //!   base quantization, shift-derived ladder candidates, i64 error folds,
-//!   i8 codes + an exact power-of-two scale for `cq_par::gemm_i8`.
+//!   i8 codes + an exact power-of-two scale for the i8 instantiation of
+//!   `cq_par::gemm`.
 //!
 //! # Examples
 //!
