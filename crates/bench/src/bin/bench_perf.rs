@@ -472,6 +472,31 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         extra: None,
     });
 
+    // The same tensor as a 2×2 max-pool backward leaves a gradient: each
+    // window of every 32×32 plane keeps its largest-magnitude element and
+    // zeroes the other three. The fused evaluation skips the 75% zeros,
+    // so this entry shows that gain next to the dense one above.
+    let scattered = maxpool_scatter(&t, 32);
+    let ns_naive = best_ns(
+        || {
+            let _ = tq.fake_quantize_naive(&scattered);
+        },
+        reps,
+    );
+    let ns_fast = best_ns(
+        || {
+            let _ = tq.fake_quantize_fast(&scattered);
+        },
+        reps,
+    );
+    entries.push(Entry {
+        op: "fake_quantize",
+        shape: "hqt-zhang2020-16384-maxpool-scatter".into(),
+        ns_naive,
+        ns_fast,
+        extra: None,
+    });
+
     // Out-of-cache serial entries: 1 MiB of f32 exceeds L2, which is
     // where the naive path's per-block tensor allocations and extra
     // passes hurt most and the fused single-pass kernels shine. Pinned
@@ -553,6 +578,27 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         });
     }
     entries
+}
+
+/// Keeps one element per 2×2 window of each `width`×`width` plane of
+/// `t` — the largest in magnitude, as a max-pool backward routes its
+/// gradient — and zeroes the rest.
+fn maxpool_scatter(t: &Tensor, width: usize) -> Tensor {
+    let d = t.data();
+    let mut g = vec![0.0f32; d.len()];
+    for plane in (0..d.len()).step_by(width * width) {
+        for y in (0..width).step_by(2) {
+            for x in (0..width).step_by(2) {
+                let window = [0, 1, width, width + 1].map(|o| plane + y * width + x + o);
+                let keep = window
+                    .into_iter()
+                    .max_by(|&a, &b| d[a].abs().total_cmp(&d[b].abs()))
+                    .expect("four elements");
+                g[keep] = d[keep];
+            }
+        }
+    }
+    Tensor::from_vec(g, t.dims()).expect("shape preserved")
 }
 
 /// Sweep-level memoization: re-simulating the same (config, optimizer,

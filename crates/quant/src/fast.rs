@@ -30,6 +30,10 @@
 //!   side, element-major, so four dependency chains interleave instead of
 //!   running one after another. The winner is re-emitted from the source
 //!   data, so no candidate codes are ever stored.
+//! * **Zero skipping**: a chunk that is at least half ±0 — as a gradient
+//!   is behind max-pool and ReLU backward — is compacted to its nonzero
+//!   elements before the store and fold passes. A zero element adds only
+//!   a signed zero to each error sum, which changes no bit.
 //! * **Codes only for the winner**: where codes are the output (LDQ
 //!   blocks, E²BQM selections, the integer-domain base codes), the
 //!   clamped integral f32 is converted with the 1.5·2²³ magic-number add
@@ -71,6 +75,13 @@ const CHUNK: usize = 1024;
 /// Candidate ways whose error accumulators are folded side by side.
 const LANES: usize = 4;
 
+/// Percentage of a chunk's elements that must be ±0 before
+/// [`eval_candidates_shared`] compacts it. Compacting every chunk broke
+/// even at 30–40% zeros on one thread, the cheapest evaluation (two-way
+/// ShiftableFxp) at the high end; half leaves a margin, and a dense
+/// chunk pays only the vectorized zero count.
+const ZERO_SKIP_PERCENT: usize = 50;
+
 /// Reusable scratch arena for the fused quantization kernels.
 ///
 /// Thread one instance through repeated quantization calls (e.g. per
@@ -105,6 +116,9 @@ pub struct QuantScratch {
     pub(crate) ybuf: Vec<f32>,
     /// Per-way power-of-two multipliers for the one-division path.
     pub(crate) mults: Vec<f32>,
+    /// The current chunk's nonzero elements, in order, when the chunk is
+    /// zero-skipped (see [`eval_candidates_shared`]).
+    pub(crate) nonzeros: Vec<f32>,
     /// Per-candidate error accumulators.
     pub(crate) acc: Vec<EstAcc>,
     /// Per-candidate estimated errors (the `E2bqmSelection::errors` data).
@@ -344,6 +358,19 @@ pub(crate) fn fake_quantize_block(x: &[f32], params: QuantParams, out: &mut [f32
 /// passes — so the estimated errors are bitwise identical to N separate
 /// quantize→dequantize→estimate round trips. Arbitration uses the same
 /// first-minimum `total_cmp` rule (NaN errors rank last).
+///
+/// **Zero skipping.** When every candidate fake-quantizes +0 and −0 to a
+/// zero, a chunk that is at least [`ZERO_SKIP_PERCENT`]% ±0 is compacted
+/// to its nonzero elements (in ascending order) and only those are
+/// stored and folded. The sums are unchanged bit for bit: a zero element
+/// contributes `|±0 − ±0|`, `±0·±0`, `±0` or `(±0)²` — a signed zero — to
+/// every accumulator, and `s + ±0 == s` bitwise for every `s` except −0.
+/// The Rectilinear, MeanBias and MSE sums start at +0.0 and only ever
+/// add non-negative terms or zeros; the Cosine dot product can take
+/// negative terms, but under round-to-nearest a sum is −0 only when both
+/// addends are, so from +0.0 it never reaches −0 either. NaN and the
+/// infinities are not zero and are never skipped. The statistic over `x`
+/// and the `n` in every mean still cover all elements.
 pub(crate) fn eval_candidates_shared(
     x: &[f32],
     estimator: ErrorEstimator,
@@ -407,9 +434,16 @@ pub(crate) fn eval_candidates_shared(
         rows,
         ybuf,
         mults,
+        nonzeros,
         acc,
         ..
     } = scratch;
+    // Every candidate maps ±0 to a zero when all offsets are zero and all
+    // scales finite: `±0 / β` is ±0 (NaN for β = 0), `round_clamp` turns
+    // either into +0, and `+0·β + 0` is a zero for every finite β.
+    let zeros_vanish = params
+        .iter()
+        .all(|p| p.offset == 0.0 && p.scale.is_finite());
     let chunk = n.min(CHUNK);
     rows.resize(LANES * chunk, 0.0);
     if shared {
@@ -417,28 +451,16 @@ pub(crate) fn eval_candidates_shared(
     }
     for (g, group) in params.chunks(LANES).enumerate() {
         let mut lanes = [EstAcc::default(); LANES];
+        let shared = shared.then(|| (params[0].scale, &mults[g * LANES..][..group.len()]));
         for xc in x.chunks(CHUNK) {
-            let len = xc.len();
-            if shared {
-                let s0 = params[0].scale;
-                for (y, &v) in ybuf.iter_mut().zip(xc) {
-                    *y = v / s0;
-                }
+            let xc = if zeros_vanish {
+                skip_zeros(xc, nonzeros)
+            } else {
+                xc
+            };
+            if !xc.is_empty() {
+                eval_chunk(estimator, &mut lanes, xc, group, shared, ybuf, rows);
             }
-            for (l, (row, &p)) in rows.chunks_exact_mut(len).zip(group).enumerate() {
-                let bound = code_bound(p);
-                if shared {
-                    let m = mults[g * LANES + l];
-                    for (d, &y) in row.iter_mut().zip(&ybuf[..len]) {
-                        *d = round_clamp(y * m, bound) * p.scale + p.offset;
-                    }
-                } else {
-                    for (d, &v) in row.iter_mut().zip(xc) {
-                        *d = fake_quantize_one(p, bound, v);
-                    }
-                }
-            }
-            fold_rows(estimator, &mut lanes, xc, &rows[..LANES * len]);
         }
         acc.extend_from_slice(&lanes[..group.len()]);
     }
@@ -479,6 +501,72 @@ pub(crate) fn eval_candidates_shared(
         .min_by(|(_, a), (_, b)| a.total_cmp(b))
         .map(|(i, _)| i)
         .unwrap_or(0)
+}
+
+/// Stores chunk `x`'s fake-quantized values for each way of `group` into
+/// a row of `rows`, then folds the rows into `lanes`. `shared` carries
+/// candidate 0's scale and the group's multipliers when the one-division
+/// path applies.
+///
+/// A function of its own on purpose: written inline in the chunk loop,
+/// where `x` may be the compacted copy, dense 256-element blocks
+/// evaluated 20% or more slower.
+#[inline]
+fn eval_chunk(
+    estimator: ErrorEstimator,
+    lanes: &mut [EstAcc; LANES],
+    x: &[f32],
+    group: &[QuantParams],
+    shared: Option<(f32, &[f32])>,
+    ybuf: &mut [f32],
+    rows: &mut [f32],
+) {
+    let len = x.len();
+    if let Some((s0, _)) = shared {
+        for (y, &v) in ybuf.iter_mut().zip(x) {
+            *y = v / s0;
+        }
+    }
+    for (l, (row, &p)) in rows.chunks_exact_mut(len).zip(group).enumerate() {
+        let bound = code_bound(p);
+        if let Some((_, mults)) = shared {
+            let m = mults[l];
+            for (d, &y) in row.iter_mut().zip(&ybuf[..len]) {
+                *d = round_clamp(y * m, bound) * p.scale + p.offset;
+            }
+        } else {
+            for (d, &v) in row.iter_mut().zip(x) {
+                *d = fake_quantize_one(p, bound, v);
+            }
+        }
+    }
+    fold_rows(estimator, lanes, x, &rows[..LANES * len]);
+}
+
+/// The elements of chunk `x` that [`eval_candidates_shared`] stores and
+/// folds: `x` itself, or — when at least [`ZERO_SKIP_PERCENT`]% of it is
+/// ±0 — its nonzero elements in ascending order, compacted into
+/// `nonzeros`.
+#[inline]
+fn skip_zeros<'a>(x: &'a [f32], nonzeros: &'a mut Vec<f32>) -> &'a [f32] {
+    // A compare and an add per element: this count vectorizes, so dense
+    // chunks pay little for the check.
+    let zeros = x.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() as usize;
+    if zeros * 100 < x.len() * ZERO_SKIP_PERCENT {
+        return x;
+    }
+    if nonzeros.len() < x.len() {
+        nonzeros.resize(x.len(), 0.0);
+    }
+    // Branch-free compaction: every element is written, and the cursor
+    // moves past the nonzero ones only. A branch would mispredict on
+    // scattered zeros.
+    let mut k = 0;
+    for &v in x {
+        nonzeros[k] = v;
+        k += usize::from(v != 0.0);
+    }
+    &nonzeros[..k]
 }
 
 /// Adds one chunk's error terms to the lane accumulators: `rows` holds
@@ -637,16 +725,29 @@ mod tests {
     #[test]
     fn scratch_buffers_are_reused_not_reallocated() {
         let q = E2bqmQuantizer::hardware_default();
-        let data = vec![0.25f32; 512];
+        // Three quarters ±0, so every chunk is compacted into `nonzeros`.
+        let data: Vec<f32> = (0..2048)
+            .map(|i| match i % 4 {
+                0 => 0.25,
+                1 => -0.0,
+                _ => 0.0,
+            })
+            .collect();
         let mut scratch = QuantScratch::new();
         q.candidate_params_into(1.0, &mut scratch.params);
         let _ = eval_candidates_shared(&data, q.estimator(), &mut scratch);
-        let (p0, r0) = (scratch.params.as_ptr(), scratch.rows.as_ptr());
+        let (p0, r0, z0) = (
+            scratch.params.as_ptr(),
+            scratch.rows.as_ptr(),
+            scratch.nonzeros.as_ptr(),
+        );
+        assert_eq!(scratch.nonzeros.len(), CHUNK, "chunks were not compacted");
         for _ in 0..4 {
             q.candidate_params_into(0.7, &mut scratch.params);
             let _ = eval_candidates_shared(&data, q.estimator(), &mut scratch);
         }
         assert_eq!(scratch.params.as_ptr(), p0, "params buffer reallocated");
         assert_eq!(scratch.rows.as_ptr(), r0, "candidate rows reallocated");
+        assert_eq!(scratch.nonzeros.as_ptr(), z0, "nonzeros buffer reallocated");
     }
 }

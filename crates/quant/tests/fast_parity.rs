@@ -14,7 +14,7 @@
 use cq_par::Pool;
 use cq_quant::{
     CandidateStrategy, E2bqmQuantizer, E2bqmSelection, ErrorEstimator, IntFormat, LdqConfig,
-    LdqTensor, QuantScratch, TrainingQuantizer,
+    LdqTensor, QuantScheme, QuantScratch, TrainingQuantizer,
 };
 use cq_tensor::{Backend, Tensor};
 use proptest::prelude::*;
@@ -66,6 +66,40 @@ fn tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
     let finite = prop::collection::vec(finite_f32(), 0..max_len);
     let edge = prop::collection::vec(edge_f32(), 0..max_len);
     prop_oneof![finite, edge].prop_map(|v| {
+        let n = v.len();
+        Tensor::from_vec(v, &[n]).expect("len matches")
+    })
+}
+
+/// Gradient-shaped tensors, as max-pool and ReLU backward leave them:
+/// 50–99% ±0 of both signs, about a quarter of the 1024-element chunks
+/// entirely zero, and one tensor in eight all zero. A third of them draw
+/// their nonzero elements from the edge values, so skipped zeros sit next
+/// to NaN, ±∞ and subnormals, and a third from subnormals alone, where a
+/// skipped nonzero would still move the error sums.
+fn sparse_tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
+    let finite = prop::collection::vec(finite_f32(), 0..max_len);
+    let edge = prop::collection::vec(edge_f32(), 0..max_len);
+    let subnormal = (1u32..0x0080_0000, 0u32..2).prop_map(|(m, s)| f32::from_bits(m | s << 31));
+    let tiny = prop::collection::vec(subnormal, 0..max_len);
+    let values = prop_oneof![finite, edge, tiny];
+    (values, 50u64..100, any::<u64>(), 0u32..8).prop_map(|(mut v, percent, seed, all_zero)| {
+        // xorshift64: which elements become zero, and with which sign.
+        let mut s = seed | 1;
+        let mut draw = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let dead_chunks = draw() & draw();
+        for (i, x) in v.iter_mut().enumerate() {
+            let r = draw();
+            let dead = (dead_chunks >> (i / 1024 % 64)) & 1 == 1;
+            if all_zero == 0 || dead || r % 100 < percent {
+                *x = if r >> 63 == 1 { -0.0 } else { 0.0 };
+            }
+        }
         let n = v.len();
         Tensor::from_vec(v, &[n]).expect("len matches")
     })
@@ -206,6 +240,46 @@ proptest! {
         let fast = LdqTensor::quantize_with(&t, cfg, Backend::Fast);
         prop_assert_eq!(&naive, &fast);
         prop_assert!(naive.block_thetas().iter().all(|&th| th == 0.0));
+    }
+}
+
+proptest! {
+    // 120 tensors × 48 quantizers × 2 schemes: 11,520 configurations.
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// Zero skipping keeps the fast path bitwise equal to naive on sparse
+    /// tensors — selections, estimated errors and fake-quantized values —
+    /// for every estimator, candidate strategy and format, per block
+    /// (HQT) and over the whole tensor (layer-wise, several chunks).
+    #[test]
+    fn sparse_tensors_match_naive(
+        t in sparse_tensor_strategy(3300),
+        block in 1usize..1100,
+        ways in 1usize..6,
+    ) {
+        for strategy in STRATEGIES {
+            for estimator in ESTIMATORS {
+                for format in IntFormat::ALL {
+                    let q = E2bqmQuantizer::new(ways, strategy, estimator, format);
+                    let schemes = [
+                        (block, QuantScheme::Hqt { block_size: block, format, multiplex: Some(q) }),
+                        (t.len().max(1), QuantScheme::LayerWise { format, multiplex: Some(q) }),
+                    ];
+                    for (k, scheme) in schemes {
+                        let naive = q.quantize_blocks_naive(&t, k);
+                        let fast = q.quantize_blocks_with(&t, k, Backend::Fast);
+                        prop_assert!(same_selections(&naive, &fast), "{scheme:?}");
+                        let tq = TrainingQuantizer::new("sparse", scheme);
+                        prop_assert_eq!(
+                            bits(tq.fake_quantize_naive(&t).data()),
+                            bits(tq.fake_quantize_fast(&t).data()),
+                            "{:?}",
+                            scheme
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
