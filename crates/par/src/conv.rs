@@ -290,8 +290,10 @@ pub fn conv2d_grad_input(
 /// Weight gradient: `gw[F, C, KH, KW]` from the input and `grad_out`,
 /// summed over the batch. `gw` is fully overwritten.
 ///
-/// Workers accumulate private partials over disjoint image ranges, then
-/// the caller reduces them — keeping the shared `gw` free of data races.
+/// The batch sum runs in image order for every thread count, so `gw` is
+/// bitwise the serial result: workers compute the per-image terms
+/// `g × colsᵀ` of disjoint image ranges, and the caller adds the terms
+/// into `gw` one image after another, as the serial path does.
 ///
 /// # Panics
 ///
@@ -310,43 +312,50 @@ pub fn conv2d_grad_weight(
     if shape.out_len() == 0 || shape.col_rows() == 0 {
         return;
     }
-    let serial = Pool::new(1);
-    let band_partial = |range: std::ops::Range<usize>, inner_pool: &Pool| -> Vec<f32> {
-        let mut cols = vec![0.0f32; shape.col_rows() * shape.col_cols()];
-        let mut tmp = vec![0.0f32; shape.f * shape.col_rows()];
-        let mut partial = vec![0.0f32; shape.f * shape.col_rows()];
-        for img in range {
-            let image = &input[img * shape.image_len()..(img + 1) * shape.image_len()];
-            let g = &grad_out[img * shape.out_len()..(img + 1) * shape.out_len()];
-            im2col(shape, image, &mut cols);
-            // tmp = g[F, OH·OW] × colsᵀ[OH·OW, C·KH·KW]
-            gemm_bt(
-                shape.f,
-                shape.col_cols(),
-                shape.col_rows(),
-                g,
-                &cols,
-                &mut tmp,
-                inner_pool,
-            );
-            for (p, &t) in partial.iter_mut().zip(&tmp) {
-                *p += t;
-            }
-        }
-        partial
+    let term_len = gw.len();
+    // term = g[F, OH·OW] × colsᵀ[OH·OW, C·KH·KW] for image `img`.
+    let image_term = |img: usize, cols: &mut [f32], term: &mut [f32], inner_pool: &Pool| {
+        let image = &input[img * shape.image_len()..(img + 1) * shape.image_len()];
+        let g = &grad_out[img * shape.out_len()..(img + 1) * shape.out_len()];
+        im2col(shape, image, cols);
+        gemm_bt(
+            shape.f,
+            shape.col_cols(),
+            shape.col_rows(),
+            g,
+            cols,
+            term,
+            inner_pool,
+        );
     };
+    let add_term = |gw: &mut [f32], term: &[f32]| {
+        for (o, &t) in gw.iter_mut().zip(term) {
+            *o += t;
+        }
+    };
+    let cols_len = shape.col_rows() * shape.col_cols();
     if shape.n > 1 && pool.threads() > 1 {
-        let ranges = Pool::partition(shape.n, pool.threads(), 1);
-        let partials =
-            pool.parallel_map(ranges.len(), |i| band_partial(ranges[i].clone(), &serial));
-        for partial in partials {
-            for (o, &p) in gw.iter_mut().zip(&partial) {
-                *o += p;
+        // The terms live in one buffer allocated here, one band per
+        // worker. Worker-allocated buffers stayed in their threads'
+        // malloc arenas and raised the process's peak RSS.
+        let mut terms = vec![0.0f32; shape.n * term_len];
+        let serial = Pool::new(1);
+        pool.parallel_row_chunks(&mut terms, term_len, 1, |first, band| {
+            let mut cols = vec![0.0f32; cols_len];
+            for (i, term) in band.chunks_exact_mut(term_len).enumerate() {
+                image_term(first + i, &mut cols, term, &serial);
             }
+        });
+        for term in terms.chunks_exact(term_len) {
+            add_term(gw, term);
         }
     } else {
-        let partial = band_partial(0..shape.n, pool);
-        gw.copy_from_slice(&partial);
+        let mut cols = vec![0.0f32; cols_len];
+        let mut term = vec![0.0f32; term_len];
+        for img in 0..shape.n {
+            image_term(img, &mut cols, &mut term, pool);
+            add_term(gw, &term);
+        }
     }
 }
 
@@ -564,6 +573,55 @@ mod tests {
                     out, want,
                     "n{n} c{c} h{h} w{w} f{f} k{k} s{s} p{p} t{threads}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn results_are_bitwise_equal_across_thread_counts() {
+        // Values with full 24-bit mantissas, so every product rounds and
+        // a reassociated sum would show in the low bits.
+        let fill_inexact = |len: usize, seed: u32| -> Vec<f32> {
+            let mut s = seed;
+            (0..len)
+                .map(|_| {
+                    s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                    ((s >> 8) as f32 / 16_777_216.0 - 0.5) * 3.0
+                })
+                .collect()
+        };
+        // Ragged shapes: batch sizes and filter counts that no thread
+        // count divides evenly, mixed strides and paddings, and batch 1.
+        for &(n, c, h, w, f, k, s, p) in &[
+            (
+                7usize, 3usize, 9usize, 7usize, 5usize, 3usize, 1usize, 1usize,
+            ),
+            (5, 2, 11, 6, 3, 2, 2, 0),
+            (3, 1, 8, 8, 7, 5, 1, 2),
+            (9, 3, 6, 6, 4, 3, 1, 1),
+            (1, 4, 6, 5, 6, 3, 1, 1),
+        ] {
+            let sh = shape(n, c, h, w, f, k, s, p);
+            let input = fill_inexact(n * sh.image_len(), 3 + n as u32);
+            let weight = fill_inexact(f * sh.col_rows(), 5 + f as u32);
+            let gout = fill_inexact(n * sh.out_len(), 7 + c as u32);
+            let run = |threads: usize| -> [Vec<u32>; 3] {
+                let pool = Pool::new(threads);
+                let mut out = vec![0.0f32; n * sh.out_len()];
+                let mut gin = vec![0.0f32; input.len()];
+                let mut gw = vec![0.0f32; weight.len()];
+                conv2d(&sh, &input, &weight, &mut out, &pool);
+                conv2d_grad_input(&sh, &gout, &weight, &mut gin, &pool);
+                conv2d_grad_weight(&sh, &input, &gout, &mut gw, &pool);
+                [out, gin, gw].map(|v| v.iter().map(|x| x.to_bits()).collect())
+            };
+            let serial = run(1);
+            for threads in 2..=4 {
+                let [out, gin, gw] = run(threads);
+                let tag = format!("n{n} c{c} h{h} w{w} f{f} k{k} s{s} p{p} t{threads}");
+                assert_eq!(out, serial[0], "conv2d {tag}");
+                assert_eq!(gin, serial[1], "conv2d_grad_input {tag}");
+                assert_eq!(gw, serial[2], "conv2d_grad_weight {tag}");
             }
         }
     }
