@@ -12,7 +12,7 @@
 //! 85%, whole train steps 60% (noisier; see [`TRAIN_STEP_RETAIN`]).
 //!
 //! ```text
-//! bench_perf [--quick] [--check] [--out PATH] [--baseline PATH]
+//! bench_perf [--quick] [--check] [--out PATH] [--baseline PATH] [--profile PATH]
 //!
 //!   --quick         reduced shape set and repetition count (CI smoke mode)
 //!   --check         exit non-zero if Fast is below 3.0x over Naive on
@@ -22,6 +22,9 @@
 //!                   report
 //!   --out PATH      write the JSON report here (default: BENCH_PR10.json)
 //!   --baseline PATH a previous report to gate speedups against
+//!   --profile PATH  write a cq-obs trace here (overrides CQ_TRACE); a
+//!                   .jsonl path gets the line sink, any other a Chrome
+//!                   trace_event file
 //! ```
 //!
 //! Report schema (hand-written JSON, no serde):
@@ -38,14 +41,12 @@
 //! }
 //! ```
 //!
-//! Service-level entries (`serve_saturation`, `serve_overload`) carry an
-//! additional `"extra": {...}` object with requests/sec and p50/p99
-//! latencies — metrics that don't fit the naive/fast nanosecond pair.
-//! The int8 entries use `extra` too: `gemm_i8` records which SIMD
-//! micro-kernel dispatched, and each `train_step_int8` entry records
-//! the pow2-ladder hit rate the integer path achieved on that network
-//! (hits are layer forwards that stayed in the integer domain;
-//! fallbacks re-ran in f32).
+//! The int8 entries carry an additional `"extra": {...}` object with
+//! facts that don't fit the naive/fast nanosecond pair: `gemm_i8`
+//! records which SIMD micro-kernel dispatched, and each
+//! `train_step_int8` entry records the pow2-ladder hit rate the integer
+//! path achieved on that network (hits are layer forwards that stayed in
+//! the integer domain; fallbacks re-ran in f32).
 //!
 //! Quant entries without a `-pooled` suffix stay below the fast path's
 //! parallel threshold, so their speedups measure the fused single-pass
@@ -67,9 +68,9 @@ use cq_accel::{clear_sim_cache, CambriconQ};
 use cq_experiments::accuracy::ProxyTask;
 use cq_ndp::OptimizerKind;
 use cq_nn::{Adam, Conv2d, Dense, Flatten, MaxPool2d, QuantCtx, QuantPath, Relu, Sequential};
+use cq_obs::json::Json;
 use cq_par::Pool;
 use cq_quant::{E2bqmQuantizer, IntFormat, LdqConfig, LdqTensor, TrainingQuantizer};
-use cq_sim::{HwCostCache, HwCostKey};
 use cq_tensor::ops::{self, Conv2dParams};
 use cq_tensor::{init, Backend, Tensor};
 use cq_workloads::models;
@@ -128,8 +129,8 @@ struct Entry {
     ns_naive: u64,
     ns_fast: u64,
     /// Optional extra JSON object (already rendered) appended to the
-    /// entry as `"extra": {...}` — service-level metrics like req/s and
-    /// tail latencies that don't fit the naive/fast pair.
+    /// entry as `"extra": {...}` — facts that don't fit the naive/fast
+    /// pair, such as the dispatched SIMD kernel.
     extra: Option<String>,
 }
 
@@ -638,62 +639,6 @@ fn hwcost_entry(reps: usize, quick: bool) -> Entry {
     }
 }
 
-/// Shard-level lock contention on the `HwCostCache`: four workers hammer
-/// a warm 64-key working set with pure hits. `ns_naive` is a single-shard
-/// cache (every hit serializes on one mutex), `ns_fast` the default
-/// 16-shard layout, so the speedup is the sharding win under contention.
-/// Not baseline-gated: contention ratios swing with the host's core
-/// count and scheduler far more than the serial kernels do.
-///
-/// The keys are built once outside the timed loop and cloned per hit:
-/// BENCH_PR6's ~1.0x reading turned out to measure per-hit `format!`
-/// key construction, which dominates a sharded-mutex hit and hides the
-/// lock behavior entirely. Note that on a host with a single hardware
-/// thread the four workers time-slice instead of contending, so ~1.0x
-/// is the *correct* reading there — sharding only pays when hits
-/// genuinely overlap — which is why this entry stays ungated.
-fn hwcache_hitstorm_entry(reps: usize, quick: bool) -> Entry {
-    let _sp = cq_obs::span!("bench", "hwcache hitstorm");
-    cq_sim::set_hwcache_enabled(true);
-    const WORKERS: usize = 4;
-    const KEYS: usize = 64;
-    let hits_per_worker: usize = if quick { 20_000 } else { 100_000 };
-    let pool = Pool::new(WORKERS);
-    let keys: Vec<HwCostKey> = (0..KEYS)
-        .map(|k| HwCostKey::new("bench-hitstorm", format!("key-{k}")))
-        .collect();
-    let time_with = |shards: usize| {
-        let cache: HwCostCache<u64> = HwCostCache::with_shards(shards, None);
-        for (k, key) in keys.iter().enumerate() {
-            cache.get_or_compute(key.clone(), || k as u64);
-        }
-        best_ns(
-            || {
-                let sums = pool.parallel_map(WORKERS, |w| {
-                    let mut acc = 0u64;
-                    for j in 0..hits_per_worker {
-                        let k = (j.wrapping_mul(31) + w.wrapping_mul(17)) % KEYS;
-                        acc ^= *cache.get_or_compute(keys[k].clone(), || k as u64);
-                    }
-                    acc
-                });
-                std::hint::black_box(sums);
-            },
-            reps,
-        )
-    };
-    Entry {
-        op: "hwcache_hitstorm",
-        shape: format!(
-            "{WORKERS}threads-{KEYS}keys-1v{}shards",
-            cq_sim::DEFAULT_SHARDS
-        ),
-        ns_naive: time_with(1),
-        ns_fast: time_with(cq_sim::DEFAULT_SHARDS),
-        extra: None,
-    }
-}
-
 /// Per-layer mapping search over the `--quick` study set: the two-stage
 /// tile/order search recomputed from scratch every call (`ns_naive`,
 /// memo disabled) vs served from the warm process-wide search cache
@@ -727,158 +672,32 @@ fn mapping_search_entry(reps: usize, quick: bool) -> Entry {
     }
 }
 
-/// Starts an in-process sweep daemon with `workers` worker loops,
-/// drives it with `opts`, shuts it down, and returns the load report.
-fn drive_daemon(
-    workers: usize,
-    queue_cap: usize,
-    opts_for: impl Fn(&str) -> cq_serve::LoadOptions,
-) -> cq_serve::LoadReport {
-    use std::sync::atomic::Ordering;
-    let server = cq_serve::Server::bind(
-        "127.0.0.1:0",
-        cq_serve::ServerConfig {
-            workers,
-            queue_cap,
-            retry_after_ms: 2,
-            ..cq_serve::ServerConfig::default()
-        },
-    )
-    .expect("bind daemon");
-    let addr = server.local_addr().expect("daemon addr").to_string();
-    let handle = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run().expect("daemon loop"));
-    let report = cq_serve::run_load(&opts_for(&addr));
-    handle.store(true, Ordering::SeqCst);
-    join.join().expect("daemon thread");
-    report
-}
-
-/// Sweep-daemon saturation: closed-loop clients over loopback against a
-/// warm `HwCostCache`, requests/sec at 1 worker (`ns_naive` = wall time)
-/// vs `available_parallelism` workers (`ns_fast`), so the speedup is the
-/// daemon's thread scaling on cached sweeps. `extra` records req/s and
-/// p50/p99 per worker count. Ungated: on a single-hardware-thread host
-/// the workers time-slice and ~1.0x is the correct reading — like
-/// `hwcache_hitstorm`, scaling only appears when cores genuinely
-/// overlap.
-fn serve_saturation_entry(quick: bool) -> Entry {
-    let _sp = cq_obs::span!("bench", "serve saturation");
-    let requests = if quick { 4 } else { 16 };
-    let opts_for = |addr: &str| {
-        let mut opts = cq_serve::LoadOptions::quick(addr);
-        opts.clients = 4;
-        opts.requests = requests;
-        opts.check = false;
-        opts
-    };
-    // Warm the process-wide HwCostCache so both sides measure the
-    // daemon's dispatch/stream path, not first-touch simulation.
-    drive_daemon(1, 64, |addr| {
-        let mut o = opts_for(addr);
-        o.clients = 1;
-        o.requests = 1;
-        o
-    });
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-    let one = drive_daemon(1, 64, opts_for);
-    let many = drive_daemon(threads, 64, opts_for);
-    assert!(one.is_clean(), "1-worker saturation run failed: {one:?}");
-    assert!(
-        many.is_clean(),
-        "{threads}-worker saturation run failed: {many:?}"
-    );
-    Entry {
-        op: "serve_saturation",
-        shape: format!("4clients-{requests}req-2cells-cached-1v{threads}workers"),
-        ns_naive: (one.elapsed_ms * 1e6) as u64,
-        ns_fast: (many.elapsed_ms * 1e6) as u64,
-        extra: Some(format!(
-            "{{\"req_per_s_1w\": {:.2}, \"req_per_s_{threads}w\": {:.2}, \
-             \"p50_us_1w\": {}, \"p99_us_1w\": {}, \"p50_us_{threads}w\": {}, \"p99_us_{threads}w\": {}}}",
-            one.req_per_s, many.req_per_s, one.p50_us, one.p99_us, many.p50_us, many.p99_us,
-        )),
-    }
-}
-
-/// Bounded-queue overload: the same closed-loop load against a
-/// queue_cap=2 daemon (`ns_naive`, clients absorb `rejected` + retry)
-/// vs an uncontended queue_cap=64 daemon (`ns_fast`). Every request
-/// still completes — backpressure costs retries, never work or memory —
-/// and `extra` records how many rejections the tiny queue issued.
-/// Ungated: the rejection count depends on scheduler interleaving.
-fn serve_overload_entry(quick: bool) -> Entry {
-    let _sp = cq_obs::span!("bench", "serve overload");
-    let requests = if quick { 4 } else { 12 };
-    let opts_for = |addr: &str| {
-        let mut opts = cq_serve::LoadOptions::quick(addr);
-        opts.clients = 6;
-        opts.requests = requests;
-        opts.check = false;
-        opts
-    };
-    let tiny = drive_daemon(2, 2, opts_for);
-    let roomy = drive_daemon(2, 64, opts_for);
-    assert!(
-        tiny.is_clean(),
-        "overloaded run must still complete: {tiny:?}"
-    );
-    assert!(roomy.is_clean(), "uncontended run failed: {roomy:?}");
-    Entry {
-        op: "serve_overload",
-        shape: format!("6clients-{requests}req-2cells-cap2v64"),
-        ns_naive: (tiny.elapsed_ms * 1e6) as u64,
-        ns_fast: (roomy.elapsed_ms * 1e6) as u64,
-        extra: Some(format!(
-            "{{\"rejections_cap2\": {}, \"rejections_cap64\": {}, \
-             \"p99_us_cap2\": {}, \"p99_us_cap64\": {}}}",
-            tiny.rejections, roomy.rejections, tiny.p99_us, roomy.p99_us,
-        )),
-    }
-}
-
 /// Whether an entry's speedup is gated against the `--baseline` report.
 fn is_gated(e: &Entry) -> bool {
     (GATED_QUANT_OPS.contains(&e.op) && !e.shape.ends_with("-pooled"))
         || GATED_COMPUTE_OPS.contains(&e.op)
 }
 
-/// Extracts `(op, shape, speedup)` triples from a previous report. The
-/// report is the fixed line-oriented format [`render_json`] writes (one
-/// entry object per line), so a full JSON parser is unnecessary.
-fn parse_baseline(text: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let (Some(op), Some(shape), Some(speedup)) = (
-            field_str(line, "\"op\": \""),
-            field_str(line, "\"shape\": \""),
-            field_num(line, "\"speedup\": "),
-        ) else {
-            continue;
-        };
-        out.push((op, shape, speedup));
-    }
-    out
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Extracts `(op, shape, speedup)` triples from a previous report's
+/// `entries` array.
+fn parse_baseline(text: &str) -> Result<Vec<(String, String, f64)>, String> {
+    let report = cq_obs::json::parse(text).map_err(|e| e.to_string())?;
+    let entries = report
+        .get("entries")
+        .and_then(Json::as_arr)
+        .ok_or("no \"entries\" array")?;
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let op = e.get("op").and_then(Json::as_str);
+            let shape = e.get("shape").and_then(Json::as_str);
+            match (op, shape, e.get("speedup").and_then(Json::as_f64)) {
+                (Some(op), Some(shape), Some(speedup)) => Ok((op.into(), shape.into(), speedup)),
+                _ => Err(format!("entry {i} lacks an op, shape or speedup")),
+            }
+        })
+        .collect()
 }
 
 fn render_json(entries: &[Entry], quick: bool) -> String {
@@ -894,8 +713,8 @@ fn render_json(entries: &[Entry], quick: bool) -> String {
         };
         out.push_str(&format!(
             "    {{ \"op\": \"{}\", \"shape\": \"{}\", \"ns_naive\": {}, \"ns_fast\": {}, \"speedup\": {:.2}{} }}{}\n",
-            json_escape(e.op),
-            json_escape(&e.shape),
+            cq_obs::json_escape(e.op),
+            cq_obs::json_escape(&e.shape),
             e.ns_naive,
             e.ns_fast,
             e.speedup(),
@@ -930,7 +749,8 @@ fn main() {
     let baseline = baseline_path.map(|p| {
         let text = std::fs::read_to_string(&p)
             .unwrap_or_else(|e| panic!("cannot read --baseline {p:?}: {e}"));
-        let rows = parse_baseline(&text);
+        let rows =
+            parse_baseline(&text).unwrap_or_else(|e| panic!("cannot parse --baseline {p:?}: {e}"));
         assert!(!rows.is_empty(), "no entries parsed from --baseline {p:?}");
         rows
     });
@@ -975,10 +795,7 @@ fn main() {
 
     entries.extend(quant_entries(reps + 2, quick));
     entries.push(hwcost_entry(reps, quick));
-    entries.push(hwcache_hitstorm_entry(reps, quick));
     entries.push(mapping_search_entry(reps, quick));
-    entries.push(serve_saturation_entry(quick));
-    entries.push(serve_overload_entry(quick));
 
     entries.push(train_step_entry(
         "train_step",
@@ -1102,5 +919,28 @@ fn main() {
             }
             eprintln!("check passed: gated entries within retention floors of baseline speedups");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_the_committed_baseline() {
+        let rows = parse_baseline(include_str!("../../../../BENCH_PR10.json"))
+            .expect("BENCH_PR10.json parses");
+        assert_eq!(rows.len(), 40);
+        assert!(rows.iter().any(|(op, shape, speedup)| op == "gemm"
+            && shape == "512x512x512"
+            && *speedup == 4.05));
+    }
+
+    #[test]
+    fn malformed_baseline_names_the_offset() {
+        let err = parse_baseline("{ \"entries\": [ { \"op\": \"gemm\" ] }").unwrap_err();
+        assert!(err.contains("at byte"), "{err}");
+        let err = parse_baseline("{ \"entries\": [ { \"op\": \"gemm\" } ] }").unwrap_err();
+        assert!(err.contains("entry 0"), "{err}");
     }
 }

@@ -1,13 +1,13 @@
-//! # cq-bench — Criterion benchmark harness
+//! # cq-bench — the micro-benchmark harness
 //!
-//! Benches live under `benches/`, one file per subsystem:
+//! The crate is its `bench_perf` binary (`src/bin/bench_perf.rs`). It
+//! times the dense kernels, the fused quantizers, whole training steps
+//! and the memoized simulator under the `Naive` reference and the `Fast`
+//! path, and writes a JSON report. With `--check` it fails when the
+//! reference GEMM or the int8 GEMM falls below its floor, or when a gated
+//! entry loses too much of its speedup in a `--baseline` report
+//! (`BENCH_PR10.json` in CI). `tests/obs_overhead.rs` checks that
+//! disabled tracing costs nothing on one of its kernels.
 //!
-//! * `quantizers` — LDQ / layer-wise DQ / E²BQM throughput and block-size
-//!   ablation (§III.A/B design choices);
-//! * `simulators` — full per-benchmark simulations of Cambricon-Q, the
-//!   TPU and GPU baselines (the kernels behind Figs. 12/13), plus the
-//!   INT4 and no-NDP ablations;
-//! * `components` — SQU, QBC, PE-array and DDR model microbenchmarks;
-//! * `training` — quantized vs FP32 training steps and NDPO vs reference
-//!   optimizer updates;
-//! * `isa` — instruction encode/decode and functional-machine execution.
+//! The end-to-end repository benchmark is the separate `perfbench/`
+//! package (see `BENCHMARK.json`).

@@ -52,18 +52,20 @@ fn profile_flag<I: IntoIterator<Item = String>>(args: I) -> Option<String> {
 /// aborts — a requested profile that silently produces nothing is the
 /// exact failure mode this subsystem exists to kill.
 ///
-/// Also validates `CQ_BACKEND`, `CQ_QUANT_PATH`, `CQ_HWCACHE`,
-/// `CQ_HWCACHE_CAP`, `CQ_SIMD`, `CQ_TUNE_FILE` and `CQ_MAPPING`
-/// eagerly: pure-simulation binaries never dispatch a dense kernel, a
-/// sweep might be entirely cache-hit, and a quantized forward only
-/// reads the path knob at the first layer, so without this a typo like
-/// `CQ_BACKEND=bogus`, `CQ_QUANT_PATH=int7`, `CQ_HWCACHE=offf`,
-/// `CQ_HWCACHE_CAP=-3`, `CQ_SIMD=avx512`, an unreadable/mismatched
-/// tune profile or a malformed mapping table would pass unremarked —
-/// and an `fp32`-vs-`int8` A/B accuracy run would silently compare a
-/// path against itself.
+/// Also validates `CQ_BACKEND`, `CQ_THREADS`, `CQ_QUANT_PATH`,
+/// `CQ_HWCACHE`, `CQ_HWCACHE_CAP`, `CQ_SIMD`, `CQ_TUNE_FILE` and
+/// `CQ_MAPPING` eagerly: pure-simulation binaries never dispatch a dense
+/// kernel or start a pool, a sweep might be entirely cache-hit, and a
+/// quantized forward only reads the path knob at the first layer, so
+/// without this a typo like `CQ_BACKEND=bogus`, `CQ_THREADS=fuor`,
+/// `CQ_QUANT_PATH=int7`, `CQ_HWCACHE=offf`, `CQ_HWCACHE_CAP=-3`,
+/// `CQ_SIMD=avx512`, an unreadable/mismatched tune profile or a
+/// malformed mapping table would pass unremarked — and an
+/// `fp32`-vs-`int8` A/B accuracy run would silently compare a path
+/// against itself.
 pub fn init_for_bin() -> ProfileGuard {
     let _ = cq_tensor::default_backend();
+    let _ = cq_par::Pool::global();
     let _ = cq_nn::env_quant_path();
     let _ = cq_sim::hwcache_enabled();
     let _ = cq_sim::hwcache_cap();
@@ -90,42 +92,6 @@ mod tests {
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
-    }
-
-    /// The eager-validation contract for the quant-path knob: the same
-    /// check `init_for_bin` runs must accept unset/empty/valid values and
-    /// reject typos with a diagnostic naming the variable. Runs through
-    /// `validate_env_quant_path` (no process-wide cache) so the env
-    /// round-trip is testable without spawning a binary.
-    #[test]
-    fn quant_path_env_validation_round_trip() {
-        let prev = std::env::var("CQ_QUANT_PATH").ok();
-        for (raw, ok) in [
-            (None, true),
-            (Some(""), true),
-            (Some("fp32"), true),
-            (Some("int8"), true),
-            (Some(" INT8 "), true),
-            (Some("int7"), false),
-            (Some("integer"), false),
-        ] {
-            match raw {
-                Some(v) => std::env::set_var("CQ_QUANT_PATH", v),
-                None => std::env::remove_var("CQ_QUANT_PATH"),
-            }
-            let got = cq_nn::validate_env_quant_path();
-            if ok {
-                assert!(got.is_ok(), "{raw:?} should validate: {got:?}");
-            } else {
-                let err = got.unwrap_err();
-                assert!(err.contains("CQ_QUANT_PATH"), "{err}");
-                assert!(err.contains(raw.unwrap()), "{err}");
-            }
-        }
-        match prev {
-            Some(v) => std::env::set_var("CQ_QUANT_PATH", v),
-            None => std::env::remove_var("CQ_QUANT_PATH"),
-        }
     }
 
     #[test]

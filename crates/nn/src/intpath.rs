@@ -77,20 +77,6 @@ pub fn env_quant_path() -> QuantPath {
     })
 }
 
-/// Validates `CQ_QUANT_PATH` eagerly without touching the cached default.
-///
-/// Binaries call this from startup (`cq_experiments::profiling::init_for_bin`)
-/// so a typo aborts before any training work, not at the first quantized
-/// layer forward.
-///
-/// # Errors
-///
-/// Returns the same diagnostic [`env_quant_path`] would panic with.
-pub fn validate_env_quant_path() -> Result<QuantPath, String> {
-    let raw = std::env::var("CQ_QUANT_PATH").ok();
-    resolve_env_quant_path(raw.as_deref())
-}
-
 /// Counters for the integer path, shared by every clone of a
 /// [`crate::QuantCtx`]: how many layer passes ran fully in the integer
 /// domain vs fell back to f32 because an operand fell off the
@@ -162,6 +148,9 @@ mod tests {
         assert!(err.contains("int7"), "{err}");
         assert!(err.contains("fp32"), "{err}");
         assert!(err.contains("int8"), "{err}");
+        let err = resolve_env_quant_path(Some("integer")).unwrap_err();
+        assert!(err.contains("invalid CQ_QUANT_PATH"), "{err}");
+        assert!(err.contains("integer"), "{err}");
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! naive loops.
 //!
 //! The process-wide default is [`Backend::Fast`], overridable by the
-//! `CQ_BACKEND` environment variable (`naive` or `fast`) at startup and by
-//! [`set_default_backend`] at run time. Any other `CQ_BACKEND` value
-//! aborts with a diagnostic rather than silently falling back. Worker
-//! count comes from `CQ_THREADS` (see [`cq_par::Pool::global`]).
+//! `CQ_BACKEND` environment variable (`naive` or `fast`), read once at
+//! first use. Any other `CQ_BACKEND` value aborts with a diagnostic
+//! rather than silently falling back. Code that needs a particular
+//! backend passes it explicitly (the `ops::*_with` entry points,
+//! `QuantCtx::with_backend` in cq-nn). Worker count comes from
+//! `CQ_THREADS` (see [`cq_par::Pool::global`]).
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Which implementation the dense kernels run on.
@@ -55,10 +56,6 @@ impl Backend {
     }
 }
 
-/// Run-time override set through [`set_default_backend`]: 0 = unset,
-/// 1 = naive, 2 = fast.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
 /// Resolves a raw `CQ_BACKEND` value: `None`/empty means "unset, use the
 /// default"; anything else must parse or the run aborts. A typo like
 /// `CQ_BACKEND=bogus` used to silently select [`Backend::Fast`], which
@@ -73,7 +70,10 @@ fn resolve_env_backend(raw: Option<&str>) -> Result<Backend, String> {
     }
 }
 
-fn env_default() -> Backend {
+/// The backend used by the plain `ops::*` entry points: the
+/// `CQ_BACKEND` environment variable, else [`Backend::Fast`]. Resolved
+/// once; panics on an invalid value.
+pub fn default_backend() -> Backend {
     static ENV: OnceLock<Backend> = OnceLock::new();
     *ENV.get_or_init(|| {
         let raw = std::env::var("CQ_BACKEND").ok();
@@ -82,27 +82,6 @@ fn env_default() -> Backend {
             Err(msg) => panic!("{msg}"),
         }
     })
-}
-
-/// The backend used by the plain `ops::*` entry points.
-///
-/// Resolution order: [`set_default_backend`] override, then the
-/// `CQ_BACKEND` environment variable, then [`Backend::Fast`].
-pub fn default_backend() -> Backend {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => Backend::Naive,
-        2 => Backend::Fast,
-        _ => env_default(),
-    }
-}
-
-/// Overrides the process-wide default backend (e.g. for A/B timing runs).
-pub fn set_default_backend(backend: Backend) {
-    let v = match backend {
-        Backend::Naive => 1,
-        Backend::Fast => 2,
-    };
-    OVERRIDE.store(v, Ordering::Relaxed);
 }
 
 /// One-line description of what the Fast backend resolves to on this
@@ -138,15 +117,5 @@ mod tests {
         assert!(err.contains("invalid CQ_BACKEND"), "{err}");
         assert!(err.contains("bogus"), "{err}");
         assert!(err.contains("naive"), "{err}");
-    }
-
-    #[test]
-    fn override_round_trips() {
-        let before = default_backend();
-        set_default_backend(Backend::Naive);
-        assert_eq!(default_backend(), Backend::Naive);
-        set_default_backend(Backend::Fast);
-        assert_eq!(default_backend(), Backend::Fast);
-        set_default_backend(before);
     }
 }

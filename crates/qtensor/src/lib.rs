@@ -37,7 +37,7 @@ pub mod ops;
 mod shape;
 mod tensor;
 
-pub use backend::{default_backend, fast_path_info, set_default_backend, Backend};
+pub use backend::{default_backend, fast_path_info, Backend};
 pub use error::TensorError;
 pub use shape::Shape;
 pub use tensor::Tensor;

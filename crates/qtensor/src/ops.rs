@@ -544,7 +544,7 @@ pub struct MaxPoolOutput {
     /// Pooled tensor `[N, C, OH, OW]`.
     pub output: Tensor,
     /// For each output element, the flat index into the input that supplied
-    /// the maximum.
+    /// the maximum (the window's first element when none exceeds −∞).
     pub argmax: Vec<usize>,
 }
 
@@ -571,8 +571,11 @@ pub fn maxpool2d(input: &Tensor, k: usize) -> Result<MaxPoolOutput, TensorError>
     for plane in 0..n * c {
         for oy in 0..oh {
             for ox in 0..ow {
+                // A window with no element above −∞ (all NaN or −∞)
+                // keeps its first element, so its gradient stays in
+                // this window.
                 let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
+                let mut best_idx = (plane * h + oy * k) * w + ox * k;
                 for ky in 0..k {
                     let start = (plane * h + oy * k + ky) * w + ox * k;
                     for (idx, &v) in (start..).zip(&id[start..start + k]) {
@@ -877,7 +880,8 @@ mod tests {
     fn maxpool_first_maximum_skips_nan() {
         // Plane 0: NaN never wins, ties keep the first maximum in
         // row-major window order, the ragged third row is ignored.
-        // Plane 1: an all-NaN window reports −∞ at flat index 0.
+        // Plane 1: an all-NaN window reports −∞ at its own first
+        // element, so the backward pass keeps its gradient in plane 1.
         let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
         let mut data = vec![
             nan, 1.0, 2.0, 2.0, //
@@ -888,7 +892,14 @@ mod tests {
         let input = Tensor::from_vec(data, &[1, 2, 3, 4]).unwrap();
         let MaxPoolOutput { output, argmax } = maxpool2d(&input, 2).unwrap();
         assert_eq!(output.data(), &[1.0, 2.0, ninf, ninf]);
-        assert_eq!(argmax, [1, 2, 0, 0]);
+        assert_eq!(argmax, [1, 2, 12, 14]);
+        let gout = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 1, 2]).unwrap();
+        let gin = maxpool2d_backward(&gout, &argmax, input.dims()).unwrap();
+        let mut want = vec![0.0; 24];
+        for (i, g) in [(1, 1.0), (2, 2.0), (12, 3.0), (14, 4.0)] {
+            want[i] = g;
+        }
+        assert_eq!(gin.data(), want.as_slice());
     }
 
     #[test]

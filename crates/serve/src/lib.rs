@@ -24,8 +24,7 @@
 //! [`cq_accel::CambriconQ::simulate`] call: the record codec is the
 //! shared tab-separated one, and presets resolve through the same
 //! committed model/config constructors ([`simulate_cell`]). The
-//! `cq_loadgen` binary (and the `serve_saturation` bench entry) verify
-//! exactly that with `--check`.
+//! `cq_loadgen` binary verifies exactly that with `--check`.
 //!
 //! Everything is `std`-only: hand-rolled JSON via [`cq_obs::json`], no
 //! async runtime, plain blocking sockets with short read timeouts so

@@ -1,7 +1,6 @@
 //! Closed-loop load generation against a running daemon.
 //!
-//! Shared by the `cq_loadgen` binary and the `serve_saturation` bench
-//! entry so both measure the same client behaviour: each client keeps
+//! Shared by the `cq_loadgen` binary and the e2e tests: each client keeps
 //! exactly one sweep outstanding, retries `rejected` responses after
 //! the server's advice, and (optionally) recomputes every streamed
 //! record locally to assert byte-identity with a direct
