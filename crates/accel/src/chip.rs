@@ -234,7 +234,8 @@ impl CambriconQ {
     }
 
     /// The canonical `HwCostCache` key of one whole-iteration run — the
-    /// public view of [`CambriconQ::run_key`]. The sweep daemon coalesces
+    /// public view of the key [`CambriconQ::simulate`] memoizes its run
+    /// under. The sweep daemon coalesces
     /// identical in-flight cells by this key, which keeps the coalescing
     /// exactly as strict as the cache: two requests coalesce iff a cache
     /// hit would have served the second one byte-identically anyway.
@@ -243,7 +244,7 @@ impl CambriconQ {
     }
 
     /// The memoized whole-iteration run for this (config, optimizer, net,
-    /// mapping policy), keyed by [`CambriconQ::run_key`].
+    /// mapping policy), keyed by [`CambriconQ::cache_key`].
     ///
     /// Inference ([`CambriconQ::simulate_inference`]) and external-baseline
     /// simulations are deliberately uncached: they are not re-invoked with

@@ -12,17 +12,17 @@
 //! never changes DRAM traffic or MAC energy, only the sweep length, so
 //! for any fixed structure the cycle-minimal fold weakly dominates
 //! every other fold on both score axes and is chosen analytically
-//! ([`best_fold`]).
+//! (`best_fold`).
 //!
 //! Candidates are scored by energy-delay product through the chip's own
-//! cost model ([`CambriconQ::score_layer_mapping`]: the three MAC
+//! cost model (`CambriconQ::score_layer_mapping`: the three MAC
 //! phases against a fresh DDR model plus time-proportional static
 //! energy). Before the cycle-accurate DDR model runs, two cheap gates
 //! apply: capacity-illegal candidates are dropped, and candidates whose
 //! reload/spill traffic exceeds a small multiple of the layer's
 //! compulsory bytes are pruned — they cannot win on EDP, and pruning
 //! them keeps multi-GB spill streams out of the row-by-row DDR walk.
-//! Scores are memoized by the candidate's [`LayerMapEval`] signature
+//! Scores are memoized by the candidate's `LayerMapEval` signature
 //! (reload factors, spills, fold), which fully determines the phase
 //! charges, so structurally different mappings with identical stream
 //! behaviour cost one evaluation. Per (config, network, layer) results

@@ -20,8 +20,10 @@
 //!                   2.0x over the f32 fast path on the same shape, or
 //!                   a gated entry regresses >15% below the baseline
 //!                   report
-//!   --out PATH      write the JSON report here (default: BENCH_PR10.json)
-//!   --baseline PATH a previous report to gate speedups against
+//!   --out PATH      write the JSON report here (default:
+//!                   BENCH_PR10_ci.json, which git ignores)
+//!   --baseline PATH a previous report to gate speedups against; naming
+//!                   the --out file too exits 2 before any timing
 //!   --profile PATH  write a cq-obs trace here (overrides CQ_TRACE); a
 //!                   .jsonl path gets the line sink, any other a Chrome
 //!                   trace_event file
@@ -726,10 +728,18 @@ fn render_json(entries: &[Entry], quick: bool) -> String {
     out
 }
 
+/// Whether two paths name one existing file.
+fn same_file(a: &str, b: &str) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    }
+}
+
 fn main() {
     let mut quick = false;
     let mut check = false;
-    let mut out_path = String::from("BENCH_PR10.json");
+    let mut out_path = String::from("BENCH_PR10_ci.json");
     let mut baseline_path: Option<String> = None;
     let mut profile_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -744,6 +754,14 @@ fn main() {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
             }
+        }
+    }
+    // Writing the report over its own baseline would replace the
+    // committed reference with one run's numbers.
+    if let Some(b) = &baseline_path {
+        if same_file(b, &out_path) {
+            eprintln!("--out {out_path:?} names the --baseline file; pick another --out");
+            std::process::exit(2);
         }
     }
     let baseline = baseline_path.map(|p| {

@@ -13,7 +13,7 @@ use cq_par::conv::{conv2d, ConvShape};
 use cq_par::{gemm, Pool};
 use cq_quant::{IntDomainQuantizer, IntDomainScratch, QuantScratch, TrainingQuantizer};
 use cq_tensor::ops::{self, Conv2dParams};
-use cq_tensor::{init, Backend, Tensor};
+use cq_tensor::{init, Backend, Tensor, TensorError};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -508,7 +508,22 @@ impl Layer for Conv2d {
     }
 }
 
+/// ReLU of one value, the one definition [`Relu`] and the fused
+/// [`MaxPool2d`] share. An explicit select maps −0.0 and NaN to `+0.0`
+/// under every codegen; `f32::max(-0.0, 0.0)` may return either zero.
+#[inline(always)]
+fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
 /// ReLU activation.
+///
+/// Inside a [`crate::Sequential`], a [`MaxPool2d`] added right after a
+/// `Relu` absorbs it (see [`crate::Sequential::add`]).
 #[derive(Debug, Default)]
 pub struct Relu {
     mask: Option<Vec<bool>>,
@@ -524,7 +539,7 @@ impl Relu {
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
         self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
-        Ok(x.map(|v| v.max(0.0)))
+        Ok(x.map(relu))
     }
 
     fn backward(&mut self, grad_out: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
@@ -545,36 +560,226 @@ impl Layer for Relu {
     }
 }
 
-/// Non-overlapping 2-D max pooling with window `k`.
+/// Offset of a window whose gradient the fused ReLU drops: its pooled
+/// value is not above zero, so ReLU's mask zeroes the gradient.
+const DROPPED: u8 = u8::MAX;
+
+/// Largest window side whose `k·k` positions fit a byte below [`DROPPED`].
+const MAX_WINDOW: usize = 15;
+
+/// Non-overlapping 2-D max pooling with window and stride `k`
+/// (`x: [B, C, H, W]`; rows and columns past the last whole window are
+/// not pooled and get a zero gradient).
+///
+/// Each window's maximum comes from a strict `>` chain from −∞ in window
+/// order, as in [`ops::maxpool2d`]: the first maximum wins and NaN never
+/// does. The layer keeps one byte per output, the maximum's offset
+/// `ky·k + kx` inside its window, so `k` is at most 15.
+///
+/// Added to a [`crate::Sequential`] right after a [`Relu`], the layer
+/// absorbs that ReLU and runs both in the same window pass: it applies
+/// ReLU to the pooled value, and its backward writes the input gradient
+/// with ReLU's mask already applied. The results are bitwise those of
+/// the two layers.
 #[derive(Debug)]
 pub struct MaxPool2d {
     k: usize,
-    cache: Option<(Vec<usize>, Vec<usize>)>, // (argmax, input dims)
+    /// Whether the layer applies the ReLU it absorbed.
+    relu: bool,
+    /// Window offset of each output's maximum, or [`DROPPED`].
+    offsets: Vec<u8>,
+    /// Input dims of the last forward; `None` before the first.
+    dims: Option<[usize; 4]>,
 }
 
 impl MaxPool2d {
     /// Creates a max-pool layer with window and stride `k`.
     pub fn new(k: usize) -> Self {
-        MaxPool2d { k, cache: None }
+        MaxPool2d {
+            k,
+            relu: false,
+            offsets: Vec::new(),
+            dims: None,
+        }
+    }
+
+    /// Makes the layer apply the ReLU that precedes it.
+    pub(crate) fn absorb_relu(&mut self) {
+        self.relu = true;
+    }
+}
+
+/// The pooling pass over `planes` (`h×w` each) into `out`, which it
+/// extends, and `offsets`, one byte per output. Each window's chain runs
+/// in registers, in the order [`ops::maxpool2d`] visits the window. With
+/// `with_relu`, ReLU is applied to each pooled value, and a window whose
+/// maximum is not above zero gets [`DROPPED`].
+#[inline(always)]
+fn pool_pass(
+    k: usize,
+    with_relu: bool,
+    planes: &[f32],
+    [h, w]: [usize; 2],
+    out: &mut Vec<f32>,
+    offsets: &mut [u8],
+) {
+    let ow = w / k;
+    let plane_out = (h / k) * ow;
+    for (plane, offs) in planes
+        .chunks_exact(h * w)
+        .zip(offsets.chunks_exact_mut(plane_out))
+    {
+        let start = out.len();
+        out.resize(start + plane_out, 0.0);
+        for ((band, out_row), off_row) in plane
+            .chunks_exact(k * w)
+            .zip(out[start..].chunks_exact_mut(ow))
+            .zip(offs.chunks_exact_mut(ow))
+        {
+            // The band's pooled columns, one slice per window row.
+            let mut rows: [&[f32]; MAX_WINDOW] = [&[]; MAX_WINDOW];
+            for (ky, row) in rows.iter_mut().take(k).enumerate() {
+                *row = &band[ky * w..][..ow * k];
+            }
+            // Index loops: with k = 2 they compile to straight-line
+            // code, where iterator chains here ran about 2× slower.
+            for (ox, (o, off)) in out_row.iter_mut().zip(off_row).enumerate() {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_off = 0u8;
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let v = rows[ky][ox * k + kx];
+                        // A select, not a branch, which mispredicts on
+                        // random data. `k ≤ MAX_WINDOW`, so the offset
+                        // fits the byte.
+                        let gt = v > best;
+                        best = if gt { v } else { best };
+                        best_off = if gt { (ky * k + kx) as u8 } else { best_off };
+                    }
+                }
+                if with_relu {
+                    best_off = if best > 0.0 { best_off } else { DROPPED };
+                    best = relu(best);
+                }
+                *off = best_off;
+                *o = best;
+            }
+        }
+    }
+}
+
+/// The backward of [`pool_pass`]: appends the input gradient of each
+/// plane to `grad_in`. A window's gradient `g` lands on its offset as
+/// `0.0 + g` (what [`ops::maxpool2d_backward`] accumulates onto zero);
+/// every other input gets `+0.0`, and so does a whole [`DROPPED`] window.
+#[inline(always)]
+fn unpool_pass(
+    k: usize,
+    grad_out: &[f32],
+    offsets: &[u8],
+    [h, w]: [usize; 2],
+    grad_in: &mut Vec<f32>,
+) {
+    let ow = w / k;
+    let plane_out = (h / k) * ow;
+    for (g_plane, off_plane) in grad_out
+        .chunks_exact(plane_out)
+        .zip(offsets.chunks_exact(plane_out))
+    {
+        // The zeros cover the unpooled rows and columns; the rest is
+        // overwritten while the plane is still in cache.
+        let start = grad_in.len();
+        grad_in.resize(start + h * w, 0.0);
+        for ((band, g_row), off_row) in grad_in[start..]
+            .chunks_exact_mut(k * w)
+            .zip(g_plane.chunks_exact(ow))
+            .zip(off_plane.chunks_exact(ow))
+        {
+            // Index loops, as in `pool_pass`.
+            for ky in 0..k {
+                let row = &mut band[ky * w..][..ow * k];
+                for ox in 0..ow {
+                    let (g, off) = (g_row[ox], off_row[ox]);
+                    for kx in 0..k {
+                        row[ox * k + kx] = if usize::from(off) == ky * k + kx {
+                            0.0 + g
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+        }
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
-        let out = ops::maxpool2d(x, self.k)?;
-        self.cache = Some((out.argmax, x.dims().to_vec()));
-        Ok(out.output)
+        let k = self.k;
+        let &[n, c, h, w] = x.dims() else {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                actual: x.dims().len(),
+                op: "maxpool2d",
+            }
+            .into());
+        };
+        if k == 0 || k > h || k > w {
+            return Err(TensorError::InvalidArgument(format!(
+                "pool window {k} invalid for input {h}x{w}"
+            ))
+            .into());
+        }
+        if k > MAX_WINDOW {
+            return Err(NnError::InvalidConfig(format!(
+                "pool window {k} exceeds {MAX_WINDOW}: its offsets do not fit a byte"
+            )));
+        }
+        let (oh, ow) = (h / k, w / k);
+        let len = n * c * oh * ow;
+        let mut out = Vec::with_capacity(len);
+        // The pass writes every offset: sizing is all the buffer needs.
+        self.offsets.resize(len, 0);
+        // Every model here pools with k = 2: that call gets its own copy
+        // with the window constant, so the window loops unroll. With a
+        // run-time k the pass took about 6× longer.
+        if k == 2 {
+            pool_pass(2, self.relu, x.data(), [h, w], &mut out, &mut self.offsets);
+        } else {
+            pool_pass(k, self.relu, x.data(), [h, w], &mut out, &mut self.offsets);
+        }
+        self.dims = Some([n, c, h, w]);
+        Ok(Tensor::from_vec(out, &[n, c, oh, ow])?)
     }
 
     fn backward(&mut self, grad_out: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
-        let (argmax, dims) = self.cache.as_ref().ok_or(NnError::NoForwardCache {
-            layer: "maxpool".into(),
+        let dims = self.dims.ok_or_else(|| NnError::NoForwardCache {
+            layer: self.name().into(),
         })?;
-        Ok(ops::maxpool2d_backward(grad_out, argmax, dims)?)
+        if grad_out.len() != self.offsets.len() {
+            return Err(TensorError::InvalidArgument(format!(
+                "max-pool produced {} outputs, grad_output has {}",
+                self.offsets.len(),
+                grad_out.len()
+            ))
+            .into());
+        }
+        let [n, c, h, w] = dims;
+        let mut grad_in = Vec::with_capacity(n * c * h * w);
+        if self.k == 2 {
+            unpool_pass(2, grad_out.data(), &self.offsets, [h, w], &mut grad_in);
+        } else {
+            unpool_pass(self.k, grad_out.data(), &self.offsets, [h, w], &mut grad_in);
+        }
+        Ok(Tensor::from_vec(grad_in, &dims)?)
     }
 
     fn name(&self) -> &str {
-        "maxpool2d"
+        if self.relu {
+            "relu+maxpool2d"
+        } else {
+            "maxpool2d"
+        }
     }
 }
 
@@ -712,6 +917,39 @@ mod tests {
             )
             .unwrap();
         assert_eq!(g.data(), &[0.0, 7.0]);
+    }
+
+    #[test]
+    fn relu_pins_the_bits_of_edge_values() {
+        let zero = 0.0f32.to_bits();
+        let cases = [
+            (-0.0f32, zero),
+            (f32::NAN, zero),
+            (-f32::NAN, zero),
+            (f32::INFINITY, f32::INFINITY.to_bits()),
+            (f32::NEG_INFINITY, zero),
+            (1.0e-40, 1.0e-40f32.to_bits()),
+            (-1.0e-40, zero),
+            (0.0, zero),
+        ];
+        let ctx = QuantCtx::fp32();
+        // Scalar, with operands the compiler cannot see.
+        for (v, want) in cases {
+            assert_eq!(relu(std::hint::black_box(v)).to_bits(), want, "{v}");
+        }
+        // Through `Relu::forward`'s vectorized map, and through a fused
+        // 1×1 max-pool, whose output is ReLU applied once per element.
+        let xs: Vec<f32> = cases.iter().cycle().take(64).map(|c| c.0).collect();
+        let wants: Vec<u32> = cases.iter().cycle().take(64).map(|c| c.1).collect();
+        let x = Tensor::from_vec(xs, &[2, 2, 4, 4]).unwrap();
+        let y = Relu::new().forward(&x, &ctx).unwrap();
+        let got: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, wants);
+        let mut fused = MaxPool2d::new(1);
+        fused.absorb_relu();
+        let y = fused.forward(&x, &ctx).unwrap();
+        let got: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, wants);
     }
 
     #[test]

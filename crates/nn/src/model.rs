@@ -1,10 +1,11 @@
 //! The [`Sequential`] model container and single-step training driver.
 
 use crate::error::NnError;
-use crate::layers::{Layer, QuantCtx};
+use crate::layers::{Layer, MaxPool2d, QuantCtx, Relu};
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::optim::Optimizer;
 use cq_tensor::Tensor;
+use std::any::Any;
 use std::fmt;
 
 /// A feed-forward stack of layers trained end to end.
@@ -27,6 +28,9 @@ use std::fmt;
 #[derive(Debug, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Whether the last layer added is a [`Relu`] that a following
+    /// [`MaxPool2d`] may absorb.
+    last_is_relu: bool,
 }
 
 /// Metrics of one training step.
@@ -45,12 +49,27 @@ impl Sequential {
     }
 
     /// Appends a layer.
-    pub fn add(&mut self, layer: impl Layer + 'static) -> &mut Self {
+    ///
+    /// A [`MaxPool2d`] added right after a [`Relu`] replaces that ReLU
+    /// and applies it inside its own window pass, so the pair is stored,
+    /// traced (as `relu+maxpool2d`) and counted as one layer. Outputs and
+    /// gradients are bitwise those of the two layers; the pair just skips
+    /// the ReLU's own pass over memory and its mask.
+    pub fn add(&mut self, mut layer: impl Layer + 'static) -> &mut Self {
+        let incoming: &mut dyn Any = &mut layer;
+        if self.last_is_relu {
+            if let Some(pool) = incoming.downcast_mut::<MaxPool2d>() {
+                pool.absorb_relu();
+                self.layers.pop();
+            }
+        }
+        self.last_is_relu = (&layer as &dyn Any).is::<Relu>();
         self.layers.push(Box::new(layer));
         self
     }
 
-    /// Number of layers.
+    /// Number of layers; a ReLU absorbed by the max-pool after it does
+    /// not count (see [`Sequential::add`]).
     pub fn len(&self) -> usize {
         self.layers.len()
     }
