@@ -339,7 +339,9 @@ impl Machine {
                         vec![a.iter().fold(0.0f32, |acc, &x| acc.max(x.abs()))]
                     }
                     VecOp::HSum => vec![a.iter().sum::<f32>()],
-                    VecOp::Relu => a.iter().map(|&x| x.max(0.0)).collect(),
+                    // A select, as cq-nn's ReLU: −0.0 and NaN give +0.0
+                    // under every codegen, which `f32::max` does not.
+                    VecOp::Relu => a.iter().map(|&x| if x > 0.0 { x } else { 0.0 }).collect(),
                     VecOp::ReluGrad => a.iter().map(|&x| if x > 0.0 { 1.0 } else { 0.0 }).collect(),
                 };
                 self.write(dest, &out)?;
@@ -532,6 +534,51 @@ mod tests {
         m.run(&p).unwrap();
         assert_eq!(&m.dram()[16..20], &[1.0, 0.0, 3.0, 0.0]);
         assert_eq!(m.dram()[32], 4.0);
+    }
+
+    /// RELU's output bits: every non-positive input, NaN included, gives
+    /// +0.0, and positive values pass unchanged.
+    #[test]
+    fn relu_output_bits() {
+        let cases = [
+            (-0.0f32, 0.0f32),
+            (f32::NAN, 0.0),
+            (-f32::NAN, 0.0),
+            (f32::NEG_INFINITY, 0.0),
+            (-f32::from_bits(1), 0.0),
+            (-2.5, 0.0),
+            (f32::INFINITY, f32::INFINITY),
+            (f32::from_bits(1), f32::from_bits(1)),
+            (2.5, 2.5),
+        ];
+        let mut m = machine();
+        for (i, &(x, _)) in cases.iter().enumerate() {
+            m.dram_mut()[i] = x;
+        }
+        let size = cases.len() as u32;
+        let mut p = Program::new();
+        p.push(Instruction::Vload {
+            dest: Operand::nbin(0),
+            src: Operand::dram(0),
+            size,
+        })
+        .push(Instruction::Vec {
+            op: VecOp::Relu,
+            dest: Operand::nbout(0),
+            src1: Operand::nbin(0),
+            src2: Operand::nbin(0),
+            size,
+        })
+        .push(Instruction::Vstore {
+            dest: Operand::dram(64),
+            src: Operand::nbout(0),
+            size,
+        });
+        m.run(&p).unwrap();
+        for (i, &(x, want)) in cases.iter().enumerate() {
+            let got = m.dram()[16 + i];
+            assert_eq!(got.to_bits(), want.to_bits(), "RELU({x:?}) = {got:?}");
+        }
     }
 
     #[test]

@@ -796,6 +796,9 @@ fn main() {
     // reference-shape gemm_i8 entry (the integer-datapath gate).
     entries.push(gemm_entry("gemm", rm, rk, rn, reps));
     entries.push(int8_gemm_entry(rm, rk, rn, reps));
+    // One image's conv1 weight-gradient term of the bench-CNN step: a
+    // short GEMM over a transposed, ragged B, so packing is a large share.
+    entries.push(gemm_entry("gemm_bt", 32, 1024, 27, reps + 2));
     if !quick {
         entries.push(gemm_entry("gemm", 256, 256, 256, reps + 2));
         entries.push(gemm_entry("gemm", 384, 128, 512, reps + 2));

@@ -50,6 +50,13 @@
 //! zero-padded; padded lanes only ever land in discarded accumulators
 //! or add exact zeros.
 //!
+//! B's panels are A's layout over `Bᵀ`, so one packer body serves both,
+//! const-generic over the panel width (`MR` or `NR`) and walking whichever
+//! of the view's strides is 1. Where each panel lane is contiguous along
+//! k (row-major A, `gemm_bt`'s B), every k-group copies the next group of
+//! all lanes; where each k step's lanes are contiguous (`gemm_at`'s A,
+//! row-major B), every k step copies one run.
+//!
 //! # Determinism
 //!
 //! Every output element is accumulated over `k` in ascending index
@@ -199,6 +206,15 @@ impl<'a, T> MatRef<'a, T> {
         }
     }
 
+    /// The same storage viewed as the transpose: rows and columns swap.
+    fn t(self) -> Self {
+        MatRef {
+            rs: self.cs,
+            cs: self.rs,
+            ..self
+        }
+    }
+
     /// View of the same matrix starting `r0` rows down.
     fn band(self, r0: usize) -> Self {
         MatRef {
@@ -243,10 +259,6 @@ impl<P: Copy + Default> PanelBuf<P> {
 /// `dst[ib·kp·mr + g·mr·G + ii·G + s] = a[i0 + ib·mr + ii, p0 + g·G + s]`
 /// with `G = E::KG` and `kp` = `kcb` rounded up to whole k-groups.
 /// Ragged final panels and the last k-group's tail are zero-padded.
-///
-/// Kept out of line: inlined into the loop nest, the strided
-/// (`gemm_at`) case packs measurably slower.
-#[inline(never)]
 fn pack_a<E: GemmElem>(
     a: MatRef<'_, E>,
     i0: usize,
@@ -256,29 +268,11 @@ fn pack_a<E: GemmElem>(
     mr: usize,
     dst: &mut [E::Packed],
 ) {
-    let kp = kcb.div_ceil(E::KG) * E::KG;
-    let w = mr * E::KG; // one k-group of one panel
-    for ib in 0..mcb.div_ceil(mr) {
-        let panel = &mut dst[ib * kp * mr..(ib + 1) * kp * mr];
-        let rows_here = mr.min(mcb - ib * mr);
-        if rows_here < mr {
-            panel.fill(E::Packed::default());
-        } else if kcb < kp {
-            panel[(kp - E::KG) * mr..].fill(E::Packed::default());
-        }
-        for ii in 0..rows_here {
-            let mut src = a.idx(i0 + ib * mr + ii, p0);
-            for g in 0..kcb / E::KG {
-                for s in 0..E::KG {
-                    panel[g * w + ii * E::KG + s] = a.data[src + s * a.cs].widen();
-                }
-                src += E::KG * a.cs;
-            }
-            // A partial last k-group; its padding lanes stay zero.
-            for s in 0..kcb % E::KG {
-                panel[kcb / E::KG * w + ii * E::KG + s] = a.data[src + s * a.cs].widen();
-            }
-        }
+    match mr {
+        4 => pack_panels::<E, 4>(a, i0, p0, mcb, kcb, dst),
+        6 => pack_panels::<E, 6>(a, i0, p0, mcb, kcb, dst),
+        8 => pack_panels::<E, 8>(a, i0, p0, mcb, kcb, dst),
+        _ => unreachable!("MR = {mr} is not in SUPPORTED_TILES"),
     }
 }
 
@@ -286,6 +280,7 @@ fn pack_a<E: GemmElem>(
 /// k-group panels: panel `jb` holds columns `j0 + jb·nr ..`, laid out
 /// `dst[jb·kp·nr + g·nr·G + jj·G + s] = b[p0 + g·G + s, j0 + jb·nr + jj]`,
 /// zero-padded on the ragged column edge and the last k-group's tail.
+/// This is A's panel layout over `bᵀ`.
 fn pack_b<E: GemmElem>(
     b: MatRef<'_, E>,
     p0: usize,
@@ -295,31 +290,103 @@ fn pack_b<E: GemmElem>(
     nr: usize,
     dst: &mut [E::Packed],
 ) {
+    match nr {
+        8 => pack_panels::<E, 8>(b.t(), j0, p0, ncb, kcb, dst),
+        16 => pack_panels::<E, 16>(b.t(), j0, p0, ncb, kcb, dst),
+        _ => unreachable!("NR = {nr} is not in SUPPORTED_TILES"),
+    }
+}
+
+/// Packs `lanes × kcb` of `v` from `(l0, p0)` into panels `W` lanes
+/// wide: `dst[lb·kp·W + g·W·G + l·G + s] = v[l0 + lb·W + l, p0 + g·G + s]`.
+/// A panel of fewer than `W` lanes is zeroed first, and so is a partial
+/// last k-group; then both run the full panel's loops at their width.
+#[inline(never)]
+fn pack_panels<E: GemmElem, const W: usize>(
+    v: MatRef<'_, E>,
+    l0: usize,
+    p0: usize,
+    lanes: usize,
+    kcb: usize,
+    dst: &mut [E::Packed],
+) {
+    // `fill_panel` interleaves at most a k-pair.
+    const { assert!(E::KG == 1 || E::KG == 2) };
     let kp = kcb.div_ceil(E::KG) * E::KG;
-    let w = nr * E::KG; // one k-group of one panel
-    for jb in 0..ncb.div_ceil(nr) {
-        let panel = &mut dst[jb * kp * nr..(jb + 1) * kp * nr];
-        let cols_here = nr.min(ncb - jb * nr);
-        if cols_here < nr {
+    for (lb, panel) in dst
+        .chunks_exact_mut(kp * W)
+        .take(lanes.div_ceil(W))
+        .enumerate()
+    {
+        let start = v.idx(l0 + lb * W, p0);
+        let width = W.min(lanes - lb * W);
+        if width < W {
             panel.fill(E::Packed::default());
-        } else if kcb < kp {
-            panel[(kp - E::KG) * nr..].fill(E::Packed::default());
+            fill_panel::<E, W>(v, start, width, kcb, panel);
+        } else {
+            if kcb < kp {
+                panel[(kp - E::KG) * W..].fill(E::Packed::default());
+            }
+            fill_panel::<E, W>(v, start, W, kcb, panel);
         }
-        for (g, row) in panel.chunks_exact_mut(w).enumerate() {
-            // Source row `s` of the k-group fills lane `s` of the
-            // interleaved panel row (for f32, the whole row).
-            for s in 0..E::KG.min(kcb - g * E::KG) {
-                let mut src = b.idx(p0 + g * E::KG + s, j0 + jb * nr);
-                if b.cs == 1 {
-                    let src_row = &b.data[src..src + cols_here];
-                    for (grp, &v) in row.chunks_exact_mut(E::KG).zip(src_row) {
-                        grp[s] = v.widen();
-                    }
-                } else {
-                    for grp in row.chunks_exact_mut(E::KG).take(cols_here) {
-                        grp[s] = b.data[src].widen();
-                        src += b.cs;
-                    }
+    }
+}
+
+/// Fills the first `width` lanes of one panel from storage index
+/// `start` (lane 0, step 0), walking whichever of `v`'s strides is 1.
+#[inline(always)]
+fn fill_panel<E: GemmElem, const W: usize>(
+    v: MatRef<'_, E>,
+    start: usize,
+    width: usize,
+    kcb: usize,
+    panel: &mut [E::Packed],
+) {
+    let g = E::KG;
+    if v.cs == 1 {
+        // Each lane is a contiguous run along k: every panel k-group
+        // takes the next k-group of all `width` lanes.
+        let lanes: [&[E]; W] = std::array::from_fn(|l| {
+            if l < width {
+                &v.data[start + l * v.rs..][..kcb]
+            } else {
+                &[]
+            }
+        });
+        let full = kcb / g;
+        let mut groups = panel.chunks_exact_mut(W * g);
+        for (gi, grp) in groups.by_ref().take(full).enumerate() {
+            for (l, lane) in lanes[..width].iter().enumerate() {
+                let src = &lane[gi * g..gi * g + g];
+                for s in 0..g {
+                    grp[l * g + s] = src[s].widen();
+                }
+            }
+        }
+        // A partial last k-group; its padding lanes stay zero.
+        if let Some(grp) = groups.next() {
+            for (l, lane) in lanes[..width].iter().enumerate() {
+                for s in 0..kcb - full * g {
+                    grp[l * g + s] = lane[full * g + s].widen();
+                }
+            }
+        }
+    } else {
+        // Row stride 1: each k step's lanes are one contiguous run.
+        debug_assert_eq!(v.rs, 1, "a view has a unit stride");
+        let run = |p: usize| &v.data[start + p * v.cs..][..width];
+        for (gi, grp) in panel.chunks_exact_mut(W * g).enumerate() {
+            let p = gi * g;
+            if g == 2 && p + 1 < kcb {
+                // A whole k-pair: interleave its two runs in one pass.
+                for ((d, &x0), &x1) in grp.chunks_exact_mut(2).zip(run(p)).zip(run(p + 1)) {
+                    d[0] = x0.widen();
+                    d[1] = x1.widen();
+                }
+            } else {
+                // f32's one step, or the lone step of a partial k-pair.
+                for (d, &x) in grp.chunks_exact_mut(g).zip(run(p)) {
+                    d[0] = x.widen();
                 }
             }
         }
@@ -809,6 +876,8 @@ mod tests {
         const STALE: Self::Acc;
         /// A panel value every packer must overwrite.
         const POISON: Self::Packed;
+        /// Whether a panel slot still holds [`TestElem::POISON`].
+        fn poisoned(p: Self::Packed) -> bool;
         /// An operand drawn from an LCG state.
         fn from_lcg(s: u32) -> Self;
     }
@@ -816,6 +885,9 @@ mod tests {
     impl TestElem for f32 {
         const STALE: f32 = -1.0;
         const POISON: f32 = f32::NAN;
+        fn poisoned(p: f32) -> bool {
+            p.is_nan()
+        }
         /// Exact-in-f32 values (1/16 steps, |v| < 8) so every association
         /// — and even fused multiply-adds — produces the same bits, making
         /// tiled results comparable to naive with equality.
@@ -827,6 +899,9 @@ mod tests {
     impl TestElem for i8 {
         const STALE: i32 = -1;
         const POISON: i16 = i16::MIN;
+        fn poisoned(p: i16) -> bool {
+            p == Self::POISON
+        }
         /// The full i8 range including -128/127: integer accumulation is
         /// exact, so no value restriction is needed.
         fn from_lcg(s: u32) -> i8 {
@@ -1037,73 +1112,107 @@ mod tests {
         assert_eq!(serial, par);
     }
 
-    /// Panel packing invariant on ragged/empty/single-row blocks: the
-    /// panel holds `a[i0+ib·mr+ii, p0+p]` widened inside the block and
-    /// exactly zero in padded lanes (rows past the block and the last
-    /// k-group's tail).
-    fn pack_a_layout<E: TestElem>(
-        (rows, k): (usize, usize),
-        (mri, frac_i, frac_p): (usize, f32, f32),
-        seed: u32,
+    /// Checks one packed block against the panel layout, for A
+    /// (`lanes` = rows, `w` = MR) and B (`lanes` = columns, `w` = NR)
+    /// alike: `dst[lb·kp·w + (p/G)·w·G + l·G + p%G]` is `want(lb·w + l,
+    /// p)` inside the block, exactly zero in padded lanes (past the last
+    /// lane, past `kcb`), and nothing past the panels is written.
+    fn check_panels<E: TestElem>(
+        dst: &[E::Packed],
+        (lanes, kcb, w): (usize, usize, usize),
+        want: impl Fn(usize, usize) -> E::Packed,
     ) -> Result<(), TestCaseError> {
-        let (mr, g) = (SUPPORTED_TILES[mri].0, E::KG);
-        let a = fill::<E>(rows * k, seed);
-        let i0 = ((rows as f32 * frac_i) as usize).min(rows);
-        let p0 = ((k as f32 * frac_p) as usize).min(k - 1);
-        let (mcb, kcb) = (rows - i0, k - p0);
+        let g = E::KG;
         let kp = kcb.div_ceil(g) * g;
-        let mut dst = vec![E::POISON; mcb.div_ceil(mr) * kp * mr];
-        pack_a(MatRef::row_major(&a, k), i0, p0, mcb, kcb, mr, &mut dst);
-        for ib in 0..mcb.div_ceil(mr) {
+        let len = lanes.div_ceil(w) * kp * w;
+        for lb in 0..lanes.div_ceil(w) {
             for p in 0..kp {
-                for ii in 0..mr {
-                    let got = dst[ib * kp * mr + (p / g) * mr * g + ii * g + p % g];
-                    if ib * mr + ii < mcb && p < kcb {
-                        let row = i0 + ib * mr + ii;
-                        prop_assert_eq!(got, a[row * k + p0 + p].widen());
+                for l in 0..w {
+                    let got = dst[lb * kp * w + (p / g) * w * g + l * g + p % g];
+                    let lane = lb * w + l;
+                    if lane < lanes && p < kcb {
+                        prop_assert_eq!(got, want(lane, p), "lane={} p={}", lane, p);
                     } else {
-                        prop_assert_eq!(got, E::Packed::default());
+                        prop_assert_eq!(got, E::Packed::default(), "pad lane={} p={}", lane, p);
                     }
                 }
             }
         }
+        prop_assert!(
+            dst[len..].iter().all(|&x| E::poisoned(x)),
+            "wrote past the panels"
+        );
         Ok(())
     }
 
-    /// Same invariant for B panels, including the strided (cs > 1) path
-    /// used by `gemm_bt`.
-    fn pack_b_layout<E: TestElem>(
-        (k, n): (usize, usize),
-        (nri, strided): (usize, bool),
+    /// A block `(start, len)` of `0..extent`, placed by two fractions and
+    /// at least `min_len` long: it may end anywhere, as `gemm_blocked`'s MC,
+    /// NC and KC blocks do, not only at the matrix edge.
+    fn span(extent: usize, (f0, f1): (f32, f32), min_len: usize) -> (usize, usize) {
+        let start = ((extent as f32 * f0) as usize).min(extent - min_len);
+        let len = ((extent - start) as f32 * f1).ceil() as usize;
+        (start, len.clamp(min_len, extent - start))
+    }
+
+    /// A panels from every view the GEMMs pack: row-major (`gemm`,
+    /// `gemm_bt`, [`PackedA::pack`]), transposed (`gemm_at`,
+    /// [`PackedA::pack_transposed`]) and either one banded `r0` rows
+    /// down, as [`run`] hands each band. Blocks start and end anywhere;
+    /// ragged last panels, several k-groups and (for i8) odd `kcb` all
+    /// occur, and every slot starts as `POISON`.
+    fn pack_a_layout<E: TestElem>(
+        (rows, k): (usize, usize),
+        (mri, transposed_view, r0): (usize, bool, usize),
+        (fi, fm, fp, fk): (f32, f32, f32, f32),
         seed: u32,
     ) -> Result<(), TestCaseError> {
-        let (nr, g) = (SUPPORTED_TILES[nri].1, E::KG);
+        let mr = SUPPORTED_TILES[mri].0;
+        // Logical A is `[r0 + rows, k]`; the view sees rows `r0..`.
+        let a = fill::<E>((r0 + rows) * k, seed);
+        let a_t = transposed(&a, r0 + rows, k);
+        let view = if transposed_view {
+            MatRef::transposed(&a_t, r0 + rows)
+        } else {
+            MatRef::row_major(&a, k)
+        }
+        .band(r0);
+        let (i0, mcb) = span(rows, (fi, fm), 0);
+        let (p0, kcb) = span(k, (fp, fk), 1);
+        let kp = kcb.div_ceil(E::KG) * E::KG;
+        let mut dst = vec![E::POISON; (mcb.div_ceil(mr) + 1) * kp * mr];
+        pack_a(view, i0, p0, mcb, kcb, mr, &mut dst);
+        check_panels::<E>(&dst, (mcb, kcb, mr), |i, p| {
+            a[(r0 + i0 + i) * k + p0 + p].widen()
+        })
+    }
+
+    /// B panels from both views the GEMMs pack: row-major (`gemm`,
+    /// `gemm_at`, the conv forward and input gradient) and transposed
+    /// (`gemm_bt`, the conv weight gradient), from any `(p0, j0)`
+    /// origin as `gemm_blocked` packs when `pc` or `jc` is above 0.
+    fn pack_b_layout<E: TestElem>(
+        (k, n): (usize, usize),
+        (nri, transposed_view): (usize, bool),
+        (fp, fk, fj, fn_): (f32, f32, f32, f32),
+        seed: u32,
+    ) -> Result<(), TestCaseError> {
+        let nr = SUPPORTED_TILES[nri].1;
         let b = fill::<E>(k * n, seed);
-        // Row-major [k, n] view, or the same logical matrix stored
-        // transposed [n, k] and viewed through strides.
-        let bt = transposed(&b, k, n);
-        let v = if strided {
-            MatRef::transposed(&bt, k)
+        // The same logical `[k, n]` matrix stored `[n, k]` for `gemm_bt`.
+        let b_t = transposed(&b, k, n);
+        let view = if transposed_view {
+            MatRef::transposed(&b_t, k)
         } else {
             MatRef::row_major(&b, n)
         };
-        let kp = k.div_ceil(g) * g;
-        let mut dst = vec![E::POISON; n.div_ceil(nr) * kp * nr];
-        pack_b(v, 0, 0, k, n, nr, &mut dst);
-        for jb in 0..n.div_ceil(nr) {
-            for p in 0..kp {
-                for jj in 0..nr {
-                    let got = dst[jb * kp * nr + (p / g) * nr * g + jj * g + p % g];
-                    let col = jb * nr + jj;
-                    if col < n && p < k {
-                        prop_assert_eq!(got, b[p * n + col].widen(), "p={} col={}", p, col);
-                    } else {
-                        prop_assert_eq!(got, E::Packed::default());
-                    }
-                }
-            }
-        }
-        Ok(())
+        let (p0, kcb) = span(k, (fp, fk), 1);
+        let (j0, ncb) = span(n, (fj, fn_), 0);
+        let kp = kcb.div_ceil(E::KG) * E::KG;
+        let mut dst = vec![E::POISON; (ncb.div_ceil(nr) + 1) * kp * nr];
+        pack_b(view, p0, j0, kcb, ncb, nr, &mut dst);
+        check_panels::<E>(&dst, (ncb, kcb, nr), |j, p| {
+            b[(p0 + p) * n + j0 + j].widen()
+        })
     }
 
     /// Blocked GEMM equals naive on arbitrary small shapes for every plan
@@ -1177,20 +1286,22 @@ mod tests {
 
                 #[test]
                 fn pack_a_layout_invariant(
-                    shape in (0usize..12, 1usize..15),
-                    pos in (0usize..SUPPORTED_TILES.len(), 0.0f32..1.0, 0.0f32..1.0),
+                    shape in (0usize..20, 1usize..24),
+                    view in (0usize..SUPPORTED_TILES.len(), any::<bool>(), 0usize..5),
+                    block in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
                     seed in 0u32..1000,
                 ) {
-                    pack_a_layout::<$e>(shape, pos, seed)?;
+                    pack_a_layout::<$e>(shape, view, block, seed)?;
                 }
 
                 #[test]
                 fn pack_b_layout_invariant(
-                    shape in (1usize..15, 0usize..20),
+                    shape in (1usize..24, 0usize..40),
                     view in (0usize..SUPPORTED_TILES.len(), any::<bool>()),
+                    block in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
                     seed in 0u32..1000,
                 ) {
-                    pack_b_layout::<$e>(shape, view, seed)?;
+                    pack_b_layout::<$e>(shape, view, block, seed)?;
                 }
 
                 #[test]

@@ -5,8 +5,9 @@
 use cq_accel::{
     compile_dense_forward, compile_weight_update, CqConfig, DenseLayout, Machine, UpdateLayout,
 };
+use cq_isa::{Instruction, Operand, Program, VecOp};
 use cq_ndp::{NdpoRegs, OptimizerKind};
-use cq_nn::{Adam, Dense, Optimizer, Param, QuantCtx, Relu, RmsProp, Sequential};
+use cq_nn::{Adam, Dense, Layer, Optimizer, Param, QuantCtx, Relu, RmsProp, Sequential};
 use cq_quant::TrainingQuantizer;
 use cq_tensor::{init, ops, Tensor};
 
@@ -114,6 +115,62 @@ fn machine_training_step_matches_reference() {
         assert!(
             (mach - reference).abs() < 1e-4,
             "weight {i}: {mach} vs {reference}"
+        );
+    }
+}
+
+/// The machine's `RELU` and cq-nn's ReLU layer give the same bits on
+/// signed zeros, NaNs, infinities, subnormals and a seeded activation
+/// tensor, so a compiled activation agrees with the host reference.
+#[test]
+fn machine_relu_matches_nn_relu_bitwise() {
+    let mut values = vec![
+        0.0f32,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+    ];
+    values.extend(init::normal(&[54], 0.0, 1.0, 21).data());
+    let size = values.len() as u32;
+    let x = Tensor::from_vec(values.clone(), &[values.len()]).unwrap();
+    let want = Relu::new()
+        .forward(&x, &QuantCtx::new(TrainingQuantizer::fp32()))
+        .unwrap();
+
+    let mut machine = Machine::new(CqConfig::edge(), 2 * values.len());
+    machine.dram_mut()[..values.len()].copy_from_slice(&values);
+    let mut p = Program::new();
+    p.push(Instruction::Vload {
+        dest: Operand::nbin(0),
+        src: Operand::dram(0),
+        size,
+    })
+    .push(Instruction::Vec {
+        op: VecOp::Relu,
+        dest: Operand::nbout(0),
+        src1: Operand::nbin(0),
+        src2: Operand::nbin(0),
+        size,
+    })
+    .push(Instruction::Vstore {
+        dest: Operand::dram(size * 4),
+        src: Operand::nbout(0),
+        size,
+    });
+    machine.run(&p).unwrap();
+    let got = &machine.dram()[values.len()..];
+    for (i, (g, w)) in got.iter().zip(want.data()).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "RELU({:?}): machine {g:?}, cq-nn {w:?}",
+            values[i]
         );
     }
 }
