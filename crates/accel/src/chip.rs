@@ -176,9 +176,9 @@ impl CambriconQ {
     /// Simulates one training iteration (one minibatch) of `net`.
     ///
     /// Results are memoized process-wide by (config, optimizer, network):
-    /// sweeps that re-simulate identical combinations hit the cache. Set
-    /// `CQ_HWCACHE=off` (or [`cq_sim::set_hwcache_enabled`]) to force
-    /// every call to recompute — the result is byte-identical either way.
+    /// sweeps that re-simulate identical combinations hit the cache.
+    /// [`cq_sim::set_hwcache_enabled`]`(false)` forces every call to
+    /// recompute — the result is byte-identical either way.
     pub fn simulate(&self, net: &Network, optimizer: OptimizerKind) -> SimResult {
         self.cached_run(net, optimizer).result.clone()
     }
@@ -895,7 +895,8 @@ mod tests {
         assert_eq!(a, b);
         // Other tests in this process share the global memo, so only
         // monotone deltas are safe to assert: our second call either hit
-        // the cache or (with CQ_HWCACHE=off) recomputed identically.
+        // the cache or (with the cache switched off) recomputed
+        // identically.
         let after = sim_cache_stats();
         if cq_sim::hwcache_enabled() {
             assert!(after.hits > before.hits, "second call must be a hit");

@@ -29,6 +29,10 @@
 //!                   trace_event file
 //! ```
 //!
+//! Start-up goes through `cq_experiments::profiling::init_for_bin`, as
+//! in the experiment binaries, so an unknown or invalid `CQ_*` variable
+//! aborts before the first timing.
+//!
 //! Report schema (hand-written JSON, no serde):
 //!
 //! ```json
@@ -401,11 +405,20 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
     let _sp = cq_obs::span!("bench", "quant kernels");
     let mut entries = Vec::new();
     let t = init::long_tailed(&[16384], 0.1, 0.01, 30.0, 31);
+    // The naive reference or the fused kernel, by backend.
+    let ldq = |x: &Tensor, cfg: LdqConfig, be: Backend| match be {
+        Backend::Naive => LdqTensor::quantize_naive(x, cfg),
+        Backend::Fast => LdqTensor::quantize(x, cfg),
+    };
+    let e2bqm = |q: &E2bqmQuantizer, x: &Tensor, k: usize, be: Backend| match be {
+        Backend::Naive => q.quantize_blocks_naive(x, k),
+        Backend::Fast => q.quantize_blocks(x, k),
+    };
 
     let cfg = LdqConfig::new(256, IntFormat::Int8);
     let (ns_naive, ns_fast) = ab(
         |be| {
-            let _ = LdqTensor::quantize_with(&t, cfg, be);
+            let _ = ldq(&t, cfg, be);
         },
         reps,
     );
@@ -420,7 +433,7 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
     let q = E2bqmQuantizer::hardware_default();
     let (ns_naive, ns_fast) = ab(
         |be| {
-            let _ = q.quantize_blocks_with(&t, 256, be);
+            let _ = e2bqm(&q, &t, 256, be);
         },
         reps,
     );
@@ -442,7 +455,7 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
     );
     let (ns_naive, ns_fast) = ab(
         |be| {
-            let _ = qc.quantize_blocks_with(&t, 256, be);
+            let _ = e2bqm(&qc, &t, 256, be);
         },
         reps,
     );
@@ -463,7 +476,7 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
     );
     let ns_fast = best_ns(
         || {
-            let _ = tq.fake_quantize_fast(&t);
+            let _ = tq.fake_quantize(&t);
         },
         reps,
     );
@@ -488,7 +501,7 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
     );
     let ns_fast = best_ns(
         || {
-            let _ = tq.fake_quantize_fast(&scattered);
+            let _ = tq.fake_quantize(&scattered);
         },
         reps,
     );
@@ -553,7 +566,7 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         let cfg = LdqConfig::new(1024, IntFormat::Int8);
         let (ns_naive, ns_fast) = ab(
             |be| {
-                let _ = LdqTensor::quantize_with(&big, cfg, be);
+                let _ = ldq(&big, cfg, be);
             },
             reps,
         );
@@ -568,7 +581,7 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         let mid = init::long_tailed(&[1 << 20], 0.1, 0.01, 30.0, 41);
         let (ns_naive, ns_fast) = ab(
             |be| {
-                let _ = q.quantize_blocks_with(&mid, 1024, be);
+                let _ = e2bqm(&q, &mid, 1024, be);
             },
             reps,
         );
@@ -741,7 +754,6 @@ fn main() {
     let mut check = false;
     let mut out_path = String::from("BENCH_PR10_ci.json");
     let mut baseline_path: Option<String> = None;
-    let mut profile_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -749,13 +761,17 @@ fn main() {
             "--check" => check = true,
             "--out" => out_path = args.next().expect("--out requires a path"),
             "--baseline" => baseline_path = Some(args.next().expect("--baseline requires a path")),
-            "--profile" => profile_path = Some(args.next().expect("--profile requires a path")),
+            // Read by `init_for_bin` below.
+            "--profile" => {
+                args.next().expect("--profile requires a path");
+            }
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
             }
         }
     }
+    let profile = cq_experiments::profiling::init_for_bin();
     // Writing the report over its own baseline would replace the
     // committed reference with one run's numbers.
     if let Some(b) = &baseline_path {
@@ -772,16 +788,6 @@ fn main() {
         assert!(!rows.is_empty(), "no entries parsed from --baseline {p:?}");
         rows
     });
-    // Tracing: --profile wins, else CQ_TRACE, else off (and then the
-    // instrumented kernels cost one atomic load per probe — see the
-    // obs_overhead test).
-    match profile_path {
-        Some(p) => cq_obs::init_to_path(&p).expect("open --profile path"),
-        None => {
-            cq_obs::init_from_env().expect("open CQ_TRACE path");
-        }
-    }
-
     let reps = if quick { 2 } else { 3 };
     let (rm, rk, rn) = REFERENCE_GEMM;
     let mut entries = Vec::new();
@@ -864,7 +870,7 @@ fn main() {
 
     std::fs::write(&out_path, render_json(&entries, quick)).expect("write report");
     eprintln!("wrote {out_path}");
-    cq_obs::finish();
+    drop(profile);
 
     if check {
         let reference = entries

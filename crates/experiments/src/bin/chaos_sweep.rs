@@ -13,7 +13,7 @@
 //! after the Nth journal record; rerunning the same command line then
 //! resumes from the journal and must produce a byte-identical report.
 
-use cq_experiments::chaos::{arm_kill_after, journal_path_from_env, parse_chaos_args};
+use cq_experiments::chaos::{arm_kill_after, parse_chaos_args};
 use cq_experiments::{chaos, resilience};
 use cq_resil::SweepJournal;
 
@@ -30,19 +30,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let journal_path = match args.journal.clone() {
-        Some(p) => p,
-        None => match journal_path_from_env("chaos_sweep") {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                eprintln!("chaos_sweep: no journal (pass --journal or set CQ_SWEEP_JOURNAL)");
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("chaos_sweep: {e}");
-                std::process::exit(2);
-            }
-        },
+    let Some(journal_path) = args.journal.clone() else {
+        eprintln!("chaos_sweep: no journal (pass --journal PATH)");
+        std::process::exit(2);
     };
 
     let journal = match SweepJournal::open(&journal_path) {

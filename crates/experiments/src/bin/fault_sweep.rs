@@ -1,27 +1,14 @@
 //! Fault sweep: six benchmarks × three bit-error rates × three protection
 //! configurations (no-ECC / ECC / ECC+E²BQM fallback).
 //!
-//! With `--journal PATH` (or `CQ_SWEEP_JOURNAL=base` in the environment)
-//! the sweep runs through the crash-safe execution layer: completed cells
-//! are recorded as they finish and a rerun resumes instead of recomputing.
-use cq_experiments::chaos::{journal_path_from_env, sweep_policy};
+//! With `--journal PATH` the sweep runs through the crash-safe execution
+//! layer: completed cells are recorded as they finish and a rerun
+//! resumes instead of recomputing.
+use cq_experiments::chaos::sweep_policy;
+use cq_experiments::profiling::flag_path;
 use cq_experiments::resilience;
 use cq_faults::ChaosPlan;
 use cq_resil::SweepJournal;
-
-/// Extracts `--journal <path>` / `--journal=<path>` from raw arguments.
-fn journal_flag<I: IntoIterator<Item = String>>(args: I) -> Option<String> {
-    let mut args = args.into_iter();
-    let mut path = None;
-    while let Some(a) = args.next() {
-        if a == "--journal" {
-            path = args.next();
-        } else if let Some(p) = a.strip_prefix("--journal=") {
-            path = Some(p.to_string());
-        }
-    }
-    path
-}
 
 fn main() {
     let _profile = cq_experiments::profiling::init_for_bin();
@@ -33,13 +20,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let journal_path = journal_flag(std::env::args().skip(1)).or_else(|| {
-        journal_path_from_env("fault_sweep").unwrap_or_else(|e| {
-            eprintln!("fault_sweep: {e}");
-            std::process::exit(2);
-        })
-    });
-    let rows = match journal_path {
+    let rows = match flag_path(std::env::args().skip(1), "--journal") {
         None => resilience::run_sweep(),
         Some(path) => {
             let journal = SweepJournal::open(&path).unwrap_or_else(|e| {

@@ -1,36 +1,16 @@
 //! Extended Table VIII: every Table III algorithm, executable.
 //!
-//! With `--journal PATH` (or `CQ_SWEEP_JOURNAL=base` in the environment)
-//! each (task, algorithm) training run is journaled as it finishes and a
-//! rerun resumes instead of retraining.
-use cq_experiments::chaos::{journal_path_from_env, sweep_policy};
+//! With `--journal PATH` each (task, algorithm) training run is
+//! journaled as it finishes and a rerun resumes instead of retraining.
+use cq_experiments::chaos::sweep_policy;
+use cq_experiments::profiling::flag_path;
 use cq_faults::ChaosPlan;
 use cq_resil::SweepJournal;
-
-/// Extracts `--journal <path>` / `--journal=<path>` from raw arguments.
-fn journal_flag<I: IntoIterator<Item = String>>(args: I) -> Option<String> {
-    let mut args = args.into_iter();
-    let mut path = None;
-    while let Some(a) = args.next() {
-        if a == "--journal" {
-            path = args.next();
-        } else if let Some(p) = a.strip_prefix("--journal=") {
-            path = Some(p.to_string());
-        }
-    }
-    path
-}
 
 fn main() {
     let _profile = cq_experiments::profiling::init_for_bin();
     println!("Table VIII (extended) — all five Table III algorithms (accuracy %)\n");
-    let journal_path = journal_flag(std::env::args().skip(1)).or_else(|| {
-        journal_path_from_env("table8ext").unwrap_or_else(|e| {
-            eprintln!("table8_extended: {e}");
-            std::process::exit(2);
-        })
-    });
-    match journal_path {
+    match flag_path(std::env::args().skip(1), "--journal") {
         None => print!("{}", cq_experiments::accuracy::table8_extended(42)),
         Some(path) => {
             let journal = SweepJournal::open(&path).unwrap_or_else(|e| {

@@ -1,7 +1,6 @@
 //! Shared plumbing for the crash-safe experiment binaries: CLI parsing
-//! for the `chaos_sweep` flags, journal-path resolution (flag or the
-//! `CQ_SWEEP_JOURNAL` environment variable), and the self-kill hook the
-//! CI chaos-smoke job uses to die mid-grid.
+//! for the `chaos_sweep` flags, the retry policy, and the self-kill hook
+//! the CI chaos-smoke job uses to die mid-grid.
 //!
 //! The binaries themselves stay thin; everything parseable lives here so
 //! it can be unit tested without spawning processes.
@@ -16,8 +15,7 @@ pub const DEFAULT_CHAOS_SEED: u64 = crate::resilience::SWEEP_SEED;
 /// Parsed `chaos_sweep`-family command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosArgs {
-    /// Journal path from `--journal <path>` (falls back to
-    /// [`journal_path_from_env`] when absent).
+    /// Journal path from `--journal <path>`.
     pub journal: Option<String>,
     /// Report output path from `--out <path>`; stdout when absent.
     pub out: Option<String>,
@@ -94,25 +92,6 @@ pub fn parse_chaos_args<I: IntoIterator<Item = String>>(args: I) -> Result<Chaos
         }
     }
     Ok(out)
-}
-
-/// Resolves the journal path for an experiment tagged `tag` from the
-/// `CQ_SWEEP_JOURNAL` environment variable: unset means "no journal",
-/// `base` means `base.<tag>.journal` (one variable covers every
-/// journal-aware binary without collisions). An empty or non-UTF-8
-/// value is a configuration error, reported as `Err` so the binaries
-/// abort loudly instead of silently running unjournaled.
-pub fn journal_path_from_env(tag: &str) -> Result<Option<String>, String> {
-    match std::env::var("CQ_SWEEP_JOURNAL") {
-        Ok(base) if base.trim().is_empty() => {
-            Err("CQ_SWEEP_JOURNAL is set but empty; set a base path or unset it".into())
-        }
-        Ok(base) => Ok(Some(format!("{base}.{tag}.journal"))),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(v)) => {
-            Err(format!("CQ_SWEEP_JOURNAL is not valid UTF-8: {v:?}"))
-        }
-    }
 }
 
 /// The retry policy the journal-aware binaries run under: the default
@@ -197,15 +176,5 @@ mod tests {
         assert!(args.chaos);
         let args = parse_chaos_args(strs(&["--profile=t.jsonl"])).unwrap();
         assert_eq!(args, ChaosArgs::default());
-    }
-
-    #[test]
-    fn env_journal_paths_are_tagged() {
-        // Uses the current (unset-by-harness) state: NotPresent → None.
-        // The set/empty branches are pure string logic exercised via the
-        // match arms above; avoid mutating process env in tests.
-        if std::env::var_os("CQ_SWEEP_JOURNAL").is_none() {
-            assert_eq!(journal_path_from_env("fault_sweep"), Ok(None));
-        }
     }
 }

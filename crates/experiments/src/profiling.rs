@@ -32,15 +32,29 @@ impl Drop for ProfileGuard {
     }
 }
 
-/// Extracts a `--profile <path>` / `--profile=<path>` flag from raw
-/// command-line arguments. Pure so it can be unit tested.
-fn profile_flag<I: IntoIterator<Item = String>>(args: I) -> Option<String> {
+/// The `CQ_*` environment variables the workspace reads, each checked
+/// by [`init_for_bin`]: `CQ_THREADS`, `CQ_SIMD` and `CQ_TUNE_FILE`
+/// (cq-par), `CQ_QUANT_PATH` (cq-nn), `CQ_MAPPING` (cq-sim) and
+/// `CQ_TRACE` (cq-obs).
+pub const KNOBS: [&str; 6] = [
+    "CQ_THREADS",
+    "CQ_SIMD",
+    "CQ_TUNE_FILE",
+    "CQ_QUANT_PATH",
+    "CQ_MAPPING",
+    "CQ_TRACE",
+];
+
+/// Extracts the value of a `<flag> <path>` / `<flag>=<path>` option
+/// (e.g. `--profile`, `--journal`) from raw command-line arguments; the
+/// last occurrence wins. Pure so it can be unit tested.
+pub fn flag_path<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<String> {
     let mut args = args.into_iter();
     let mut path = None;
     while let Some(a) = args.next() {
-        if a == "--profile" {
+        if a == flag {
             path = args.next();
-        } else if let Some(p) = a.strip_prefix("--profile=") {
+        } else if let Some(p) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
             path = Some(p.to_string());
         }
     }
@@ -52,26 +66,31 @@ fn profile_flag<I: IntoIterator<Item = String>>(args: I) -> Option<String> {
 /// aborts — a requested profile that silently produces nothing is the
 /// exact failure mode this subsystem exists to kill.
 ///
-/// Also validates `CQ_BACKEND`, `CQ_THREADS`, `CQ_QUANT_PATH`,
-/// `CQ_HWCACHE`, `CQ_HWCACHE_CAP`, `CQ_SIMD`, `CQ_TUNE_FILE` and
-/// `CQ_MAPPING` eagerly: pure-simulation binaries never dispatch a dense
-/// kernel or start a pool, a sweep might be entirely cache-hit, and a
-/// quantized forward only reads the path knob at the first layer, so
-/// without this a typo like `CQ_BACKEND=bogus`, `CQ_THREADS=fuor`,
-/// `CQ_QUANT_PATH=int7`, `CQ_HWCACHE=offf`, `CQ_HWCACHE_CAP=-3`,
-/// `CQ_SIMD=avx512`, an unreadable/mismatched tune profile or a
-/// malformed mapping table would pass unremarked — and an
-/// `fp32`-vs-`int8` A/B accuracy run would silently compare a path
-/// against itself.
+/// Also aborts on any `CQ_*` variable that is not one of [`KNOBS`], and
+/// validates `CQ_THREADS`, `CQ_QUANT_PATH`, `CQ_SIMD`, `CQ_TUNE_FILE`
+/// and `CQ_MAPPING` eagerly: pure-simulation binaries never dispatch a
+/// dense kernel or start a pool, and a quantized forward only reads the
+/// path knob at the first layer, so without this a stale or misspelt
+/// name (`CQ_THREAD=2`), a typo like `CQ_THREADS=fuor`,
+/// `CQ_QUANT_PATH=int7` or `CQ_SIMD=avx512`, an unreadable/mismatched
+/// tune profile or a malformed mapping table would pass unremarked —
+/// and an `fp32`-vs-`int8` A/B accuracy run would silently compare a
+/// path against itself.
 pub fn init_for_bin() -> ProfileGuard {
-    let _ = cq_tensor::default_backend();
+    for (name, _) in std::env::vars_os() {
+        let name = name.to_string_lossy();
+        if name.starts_with("CQ_") && !KNOBS.contains(&name.as_ref()) {
+            panic!(
+                "unknown environment variable {name}; the CQ_* knobs are {}",
+                KNOBS.join(", ")
+            );
+        }
+    }
     let _ = cq_par::Pool::global();
     let _ = cq_nn::env_quant_path();
-    let _ = cq_sim::hwcache_enabled();
-    let _ = cq_sim::hwcache_cap();
     let _ = cq_tensor::fast_path_info();
     let _ = cq_sim::mapping::env_policy();
-    let path = profile_flag(std::env::args().skip(1));
+    let path = flag_path(std::env::args().skip(1), "--profile");
     match path {
         Some(p) => {
             cq_obs::init_to_path(&p)
@@ -96,21 +115,26 @@ mod tests {
 
     #[test]
     fn profile_flag_forms() {
-        assert_eq!(profile_flag(strs(&[])), None);
-        assert_eq!(profile_flag(strs(&["--quick"])), None);
+        let profile = |v: &[&str]| flag_path(strs(v), "--profile");
+        assert_eq!(profile(&[]), None);
+        assert_eq!(profile(&["--quick"]), None);
+        assert_eq!(profile(&["--profile", "out.json"]), Some("out.json".into()));
         assert_eq!(
-            profile_flag(strs(&["--profile", "out.json"])),
-            Some("out.json".into())
-        );
-        assert_eq!(
-            profile_flag(strs(&["--quick", "--profile=t.jsonl"])),
+            profile(&["--quick", "--profile=t.jsonl"]),
             Some("t.jsonl".into())
         );
         // Last occurrence wins; a dangling flag yields nothing usable.
         assert_eq!(
-            profile_flag(strs(&["--profile=a", "--profile", "b"])),
+            profile(&["--profile=a", "--profile", "b"]),
             Some("b".into())
         );
-        assert_eq!(profile_flag(strs(&["--profile"])), None);
+        assert_eq!(profile(&["--profile"]), None);
+        // Other flags, and names that merely start with the flag, are
+        // not the flag.
+        assert_eq!(profile(&["--profiler=x", "--journal", "j"]), None);
+        assert_eq!(
+            flag_path(strs(&["--profile", "t.json", "--journal=j"]), "--journal"),
+            Some("j".into())
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! of an experiment binary (`profiling::init_for_bin`).
 //!
 //! Each case runs `table2_support_matrix`, a pure-table binary that never
-//! starts a pool, trains or simulates, as a child process with every
+//! trains or simulates, as a child process with every
 //! inherited `CQ_*` variable removed. No test mutates this process's
 //! environment, so the cases cannot race with each other or with the
 //! process-wide caches the knobs resolve into.
@@ -35,22 +35,54 @@ fn starts_cleanly_without_cq_variables() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table II"));
 }
 
+/// Runs with `key=value` as the only `CQ_*` variable and asserts a
+/// non-zero exit whose stderr contains `needle`.
+fn assert_aborts(key: &str, value: &str, needle: &str) {
+    let out = run_with(&[(key, value)]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{key}={value} exited 0: {stderr}");
+    assert!(stderr.contains(needle), "{key}={value}: {stderr}");
+}
+
 #[test]
 fn invalid_values_abort_naming_the_variable() {
     for (key, value) in [
-        ("CQ_BACKEND", "bogus"),
         ("CQ_THREADS", "fuor"),
         ("CQ_QUANT_PATH", "int7"),
-        ("CQ_HWCACHE", "offf"),
-        ("CQ_HWCACHE_CAP", "-3"),
         ("CQ_SIMD", "avx512"),
     ] {
-        let out = run_with(&[(key, value)]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{key}={value} exited 0: {stderr}");
-        assert!(
-            stderr.contains(&format!("invalid {key} value")),
-            "{key}={value}: {stderr}"
+        assert_aborts(key, value, &format!("invalid {key} value"));
+    }
+}
+
+#[test]
+fn unusable_mapping_tune_file_and_trace_abort_naming_the_variable() {
+    let missing = std::env::temp_dir().join(format!("cq-env-missing-{}", std::process::id()));
+    assert!(!missing.exists(), "{}", missing.display());
+    let in_missing = |file: &str| missing.join(file).display().to_string();
+    for (key, value) in [
+        ("CQ_MAPPING", "serach".to_string()),
+        ("CQ_TUNE_FILE", in_missing("tuned.profile")),
+        ("CQ_TRACE", in_missing("trace.jsonl")),
+    ] {
+        assert_aborts(key, &value, key);
+    }
+}
+
+#[test]
+fn unknown_cq_names_abort_naming_them() {
+    // Names that no longer exist, and a misspelling of CQ_THREADS.
+    for (key, value) in [
+        ("CQ_BACKEND", "naive"),
+        ("CQ_HWCACHE", "off"),
+        ("CQ_HWCACHE_CAP", "64"),
+        ("CQ_SWEEP_JOURNAL", "base"),
+        ("CQ_THREAD", "2"),
+    ] {
+        assert_aborts(
+            key,
+            value,
+            &format!("unknown environment variable {key}; the CQ_* knobs are CQ_THREADS"),
         );
     }
 }

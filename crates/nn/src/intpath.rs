@@ -51,9 +51,9 @@ impl QuantPath {
 }
 
 /// Resolves a raw `CQ_QUANT_PATH` value: `None`/empty means "unset, use
-/// the default"; anything else must parse or the run aborts. Mirrors the
-/// `CQ_BACKEND` contract — a typo must never silently select a path,
-/// because fp32-vs-int8 A/B accuracy comparisons would lie.
+/// the default"; anything else must parse or the run aborts. A typo must
+/// never silently select a path, because fp32-vs-int8 A/B accuracy
+/// comparisons would lie.
 pub(crate) fn resolve_env_quant_path(raw: Option<&str>) -> Result<QuantPath, String> {
     match raw {
         None => Ok(QuantPath::default()),

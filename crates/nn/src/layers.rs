@@ -51,7 +51,8 @@ pub struct QuantCtx {
     /// identity.
     pub quantizer: TrainingQuantizer,
     /// The compute backend every dense kernel in the pass runs on.
-    /// Defaults to the process-wide [`cq_tensor::default_backend`].
+    /// Defaults to [`Backend::Fast`]; [`QuantCtx::with_backend`] pins
+    /// the naive reference.
     pub backend: Backend,
     /// Arithmetic domain for quantized layer forwards. [`QuantPath::Int8`]
     /// routes [`Dense`]/[`Conv2d`] forwards through i8×i8→i32 kernels with
@@ -87,7 +88,7 @@ impl QuantCtx {
     pub fn new(quantizer: TrainingQuantizer) -> Self {
         QuantCtx {
             quantizer,
-            backend: cq_tensor::default_backend(),
+            backend: Backend::Fast,
             path: env_quant_path(),
             scratch: Arc::new(Mutex::new(QuantScratch::new())),
             int_state: Arc::new(Mutex::new(IntState::new())),

@@ -25,7 +25,7 @@
 //! environment variable (`auto` / `scalar` / `avx2`) filtered through
 //! runtime CPU feature detection. Malformed values or requesting `avx2`
 //! on hardware without it abort with a diagnostic — the same fail-loud
-//! policy as `CQ_BACKEND`/`CQ_THREADS`.
+//! policy as `CQ_THREADS`.
 //!
 //! Accumulation order over `k` is ascending in every kernel — identical
 //! to the naive reference — so the *sequence* of per-element operations

@@ -26,7 +26,7 @@
 //! ```
 //!
 //! Unknown keys, duplicate keys, missing keys and unparsable values are
-//! all hard errors, matching the strict `CQ_BACKEND`/`CQ_THREADS`
+//! all hard errors, matching the strict `CQ_SIMD`/`CQ_THREADS`
 //! validation precedent.
 
 use crate::gemm::GemmElem;

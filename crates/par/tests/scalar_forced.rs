@@ -1,19 +1,41 @@
 //! Feature-detection override test: `CQ_SIMD=scalar` must actually force
 //! the scalar micro-kernels, regardless of what the CPU supports.
 //!
-//! A single `#[test]` (env mutation + `OnceLock` resolution must happen
-//! before any other gemm touches the plan) sets the variable, resolves
-//! the level, and runs a parity check proving the scalar path computes
-//! correctly end to end.
+//! The level resolves once per process, so the checks need a process
+//! started with the variable set. Under `CQ_SIMD=scalar` (CI's
+//! forced-scalar leg) the test runs them directly; otherwise it re-runs
+//! this test in a child process with `CQ_SIMD=scalar` set on the child
+//! only, and asserts that the child passed. No test changes this
+//! process's environment.
 
 use cq_par::{gemm, Pool, SimdLevel};
+use std::process::Command;
+
+const NAME: &str = "cq_simd_scalar_forces_the_scalar_kernels";
 
 #[test]
 fn cq_simd_scalar_forces_the_scalar_kernels() {
-    // This test binary runs alone, so the process-wide OnceLocks in
-    // cq-par have not been resolved yet.
-    std::env::set_var("CQ_SIMD", "scalar");
+    if std::env::var("CQ_SIMD").as_deref() == Ok("scalar") {
+        scalar_checks();
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = Command::new(exe)
+        .args([NAME, "--exact"])
+        .env("CQ_SIMD", "scalar")
+        .output()
+        .expect("spawn the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "child failed: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // A filter that matched nothing would also exit 0.
+    assert!(stdout.contains("1 passed"), "{stdout}");
+}
 
+fn scalar_checks() {
     assert_eq!(cq_par::simd_level(), SimdLevel::Scalar);
     let plan = cq_par::active_plan();
     assert_eq!(plan.simd, SimdLevel::Scalar);

@@ -6,7 +6,7 @@
 //! for them; this module computes the actual values so training runs produce
 //! real numbers.
 
-use crate::backend::{default_backend, Backend};
+use crate::backend::Backend;
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 use cq_par::Pool;
@@ -66,7 +66,7 @@ impl Conv2dParams {
 /// # Ok::<(), cq_tensor::TensorError>(())
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    matmul_with(default_backend(), a, b)
+    matmul_with(Backend::Fast, a, b)
 }
 
 /// [`matmul`] on an explicit [`Backend`].
@@ -118,7 +118,7 @@ pub fn matmul_with(backend: Backend, a: &Tensor, b: &Tensor) -> Result<Tensor, T
 ///
 /// Same as [`matmul`].
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    matmul_at_with(default_backend(), a, b)
+    matmul_at_with(Backend::Fast, a, b)
 }
 
 /// [`matmul_at`] on an explicit [`Backend`].
@@ -168,7 +168,7 @@ pub fn matmul_at_with(backend: Backend, a: &Tensor, b: &Tensor) -> Result<Tensor
 ///
 /// Same as [`matmul`].
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    matmul_bt_with(default_backend(), a, b)
+    matmul_bt_with(Backend::Fast, a, b)
 }
 
 /// [`matmul_bt`] on an explicit [`Backend`].
@@ -293,7 +293,7 @@ pub fn conv2d(
     weight: &Tensor,
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    conv2d_with(default_backend(), input, weight, params)
+    conv2d_with(Backend::Fast, input, weight, params)
 }
 
 /// [`conv2d`] on an explicit [`Backend`].
@@ -374,7 +374,7 @@ pub fn conv2d_grad_input(
     input_dims: &[usize],
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    conv2d_grad_input_with(default_backend(), grad_output, weight, input_dims, params)
+    conv2d_grad_input_with(Backend::Fast, grad_output, weight, input_dims, params)
 }
 
 /// [`conv2d_grad_input`] on an explicit [`Backend`].
@@ -462,7 +462,7 @@ pub fn conv2d_grad_weight(
     weight_dims: &[usize],
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    conv2d_grad_weight_with(default_backend(), input, grad_output, weight_dims, params)
+    conv2d_grad_weight_with(Backend::Fast, input, grad_output, weight_dims, params)
 }
 
 /// [`conv2d_grad_weight`] on an explicit [`Backend`].

@@ -9,7 +9,7 @@ use crate::ldq::{LdqConfig, LdqTensor};
 use crate::qtensor::QuantizedTensor;
 use crate::rounding::{MiniFloat, RoundingMode};
 use cq_par::Pool;
-use cq_tensor::{Backend, Tensor};
+use cq_tensor::Tensor;
 use std::fmt;
 
 /// Precision of the *updating weights* stage (paper Table III: every
@@ -366,13 +366,14 @@ impl TrainingQuantizer {
     /// Quantizes then dequantizes `x`, producing the FP32 tensor the
     /// integer datapath would effectively compute with.
     ///
-    /// Dispatches on [`cq_tensor::default_backend`]; both backends produce
-    /// bit-identical tensors (see [`crate::fast`]).
+    /// Allocating wrapper over the fused [`Self::fake_quantize_into`],
+    /// bit-identical to [`Self::fake_quantize_naive`] (see
+    /// [`crate::fast`]).
     pub fn fake_quantize(&self, x: &Tensor) -> Tensor {
-        match cq_tensor::default_backend() {
-            Backend::Naive => self.fake_quantize_naive(x),
-            Backend::Fast => self.fake_quantize_fast(x),
-        }
+        let mut out = Vec::with_capacity(x.len());
+        let mut scratch = QuantScratch::new();
+        self.fake_quantize_into(x, &mut out, &mut scratch);
+        Tensor::from_vec(out, x.dims()).expect("shape preserved by construction")
     }
 
     /// The reference implementation: separate statistic/quantize/dequantize
@@ -415,14 +416,6 @@ impl TrainingQuantizer {
                 }
             },
         }
-    }
-
-    /// Allocating wrapper over [`Self::fake_quantize_into`].
-    pub fn fake_quantize_fast(&self, x: &Tensor) -> Tensor {
-        let mut out = Vec::with_capacity(x.len());
-        let mut scratch = QuantScratch::new();
-        self.fake_quantize_into(x, &mut out, &mut scratch);
-        Tensor::from_vec(out, x.dims()).expect("shape preserved by construction")
     }
 
     /// The fused fast path: clears `out` and fills it with the

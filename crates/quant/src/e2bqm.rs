@@ -21,7 +21,7 @@ use crate::fast::{self, QuantScratch};
 use crate::format::{IntFormat, QuantParams};
 use crate::qtensor::QuantizedTensor;
 use cq_par::Pool;
-use cq_tensor::{Backend, Tensor};
+use cq_tensor::Tensor;
 use std::fmt;
 
 /// Distance metric used to estimate quantization error (step 3).
@@ -287,21 +287,10 @@ impl E2bqmQuantizer {
     /// Quantizes a tensor block-by-block (LDQ slicing) with E²BQM applied to
     /// every block; returns per-block selections.
     ///
-    /// Dispatches on [`cq_tensor::default_backend`]: the fast backend uses
-    /// the fused shared-statistics kernel (bit-identical to naive — see
-    /// [`crate::fast`]), fanning out over the global pool for large tensors.
+    /// Runs the fused shared-statistics kernel (bit-identical to
+    /// [`Self::quantize_blocks_naive`] — see [`crate::fast`]), fanning out
+    /// over the global pool for large tensors.
     pub fn quantize_blocks(&self, x: &Tensor, block_size: usize) -> Vec<E2bqmSelection> {
-        self.quantize_blocks_with(x, block_size, cq_tensor::default_backend())
-    }
-
-    /// [`Self::quantize_blocks`] with an explicit backend (A/B testing and
-    /// the parity suite).
-    pub fn quantize_blocks_with(
-        &self,
-        x: &Tensor,
-        block_size: usize,
-        backend: Backend,
-    ) -> Vec<E2bqmSelection> {
         assert!(block_size > 0, "block size must be positive");
         let mut sp = cq_obs::span!("quant", "e2bqm_blocks");
         if sp.is_recording() {
@@ -312,15 +301,10 @@ impl E2bqmQuantizer {
             cq_obs::counter!("quant.calls").incr();
             cq_obs::counter!("quant.blocks").add(x.len().div_ceil(block_size) as u64);
         }
-        match backend {
-            Backend::Naive => self.quantize_blocks_naive(x, block_size),
-            Backend::Fast => {
-                if x.len() < fast::PAR_MIN_ELEMS || Pool::global().threads() == 1 {
-                    self.quantize_blocks_fused_serial(x, block_size)
-                } else {
-                    self.quantize_blocks_fast_on(Pool::global(), x, block_size)
-                }
-            }
+        if x.len() < fast::PAR_MIN_ELEMS || Pool::global().threads() == 1 {
+            self.quantize_blocks_fused_serial(x, block_size)
+        } else {
+            self.quantize_blocks_fast_on(Pool::global(), x, block_size)
         }
     }
 

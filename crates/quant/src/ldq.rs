@@ -23,7 +23,7 @@ use crate::fast;
 use crate::format::{IntFormat, QuantParams};
 use crate::qtensor::QuantizedTensor;
 use cq_par::Pool;
-use cq_tensor::{Backend, Tensor};
+use cq_tensor::Tensor;
 
 /// Configuration for Local Dynamic Quantization.
 ///
@@ -76,17 +76,11 @@ impl LdqTensor {
     /// SQU's fused statistic+quantize (S·Q in Fig. 7): every block is read
     /// once, its θᵢ computed, and immediately quantized.
     ///
-    /// Dispatches on [`cq_tensor::default_backend`]: the fast backend fuses
-    /// the θ scan and the quantize loop into one cache-resident pass per
-    /// block (bit-identical to naive — see [`crate::fast`]), fanning out
-    /// over the global pool for large tensors.
+    /// The θ scan and the quantize loop fuse into one cache-resident pass
+    /// per block (bit-identical to [`Self::quantize_naive`] — see
+    /// [`crate::fast`]), fanning out over the global pool for large
+    /// tensors.
     pub fn quantize(x: &Tensor, config: LdqConfig) -> Self {
-        Self::quantize_with(x, config, cq_tensor::default_backend())
-    }
-
-    /// [`Self::quantize`] with an explicit backend (A/B testing and the
-    /// parity suite).
-    pub fn quantize_with(x: &Tensor, config: LdqConfig, backend: Backend) -> Self {
         let mut sp = cq_obs::span!("quant", "ldq_quantize");
         if sp.is_recording() {
             sp.arg("elems", x.len())
@@ -95,15 +89,10 @@ impl LdqTensor {
             cq_obs::counter!("quant.calls").incr();
             cq_obs::counter!("quant.blocks").add(x.len().div_ceil(config.block_size) as u64);
         }
-        match backend {
-            Backend::Naive => Self::quantize_naive(x, config),
-            Backend::Fast => {
-                if x.len() < fast::PAR_MIN_ELEMS || Pool::global().threads() == 1 {
-                    Self::quantize_fused_serial(x, config)
-                } else {
-                    Self::quantize_fast_on(Pool::global(), x, config)
-                }
-            }
+        if x.len() < fast::PAR_MIN_ELEMS || Pool::global().threads() == 1 {
+            Self::quantize_fused_serial(x, config)
+        } else {
+            Self::quantize_fast_on(Pool::global(), x, config)
         }
     }
 
@@ -419,9 +408,12 @@ mod tests {
         let mut data = vec![0.0f32; 4];
         data.extend([1.0, -2.0, 0.5, 0.25]);
         let x = Tensor::from_vec(data, &[8]).unwrap();
-        for backend in [Backend::Naive, Backend::Fast] {
-            let ldq = LdqTensor::quantize_with(&x, LdqConfig::new(4, IntFormat::Int8), backend);
-            assert_eq!(ldq.block_thetas(), &[0.0, 2.0], "{backend:?}");
+        let cfg = LdqConfig::new(4, IntFormat::Int8);
+        for ldq in [
+            LdqTensor::quantize_naive(&x, cfg),
+            LdqTensor::quantize(&x, cfg),
+        ] {
+            assert_eq!(ldq.block_thetas(), &[0.0, 2.0]);
             assert_eq!(ldq.blocks()[0].params().scale, 1.0, "sentinel scale");
         }
     }

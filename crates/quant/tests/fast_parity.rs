@@ -16,7 +16,7 @@ use cq_quant::{
     CandidateStrategy, E2bqmQuantizer, E2bqmSelection, ErrorEstimator, IntFormat, LdqConfig,
     LdqTensor, QuantScheme, QuantScratch, TrainingQuantizer,
 };
-use cq_tensor::{Backend, Tensor};
+use cq_tensor::Tensor;
 use proptest::prelude::*;
 
 fn finite_f32() -> impl Strategy<Value = f32> {
@@ -157,7 +157,7 @@ proptest! {
     ) {
         let cfg = LdqConfig::new(block, fmt);
         let naive = LdqTensor::quantize_naive(&t, cfg);
-        let fast = LdqTensor::quantize_with(&t, cfg, Backend::Fast);
+        let fast = LdqTensor::quantize(&t, cfg);
         prop_assert_eq!(&naive, &fast);
         for threads in [1usize, 4] {
             let pooled = LdqTensor::quantize_fast_on(&Pool::new(threads), &t, cfg);
@@ -190,7 +190,7 @@ proptest! {
                 for fmt in IntFormat::ALL {
                     let q = E2bqmQuantizer::new(ways, strategy, estimator, fmt);
                     let naive = q.quantize_blocks_naive(&t, block);
-                    let fast = q.quantize_blocks_with(&t, block, Backend::Fast);
+                    let fast = q.quantize_blocks(&t, block);
                     // Errors are compared bitwise, not approximately.
                     prop_assert!(same_selections(&naive, &fast), "{q:?}: {naive:?} != {fast:?}");
                     for threads in [1usize, 4] {
@@ -219,7 +219,7 @@ proptest! {
             _ => TrainingQuantizer::ldq_only(96, IntFormat::Int8),
         };
         let naive = bits(q.fake_quantize_naive(&t).data());
-        prop_assert_eq!(&naive, &bits(q.fake_quantize_fast(&t).data()));
+        prop_assert_eq!(&naive, &bits(q.fake_quantize(&t).data()));
 
         // Scratch reuse across calls must not change results.
         let mut out = Vec::new();
@@ -231,13 +231,13 @@ proptest! {
     }
 
     /// Degenerate blocks (all-zero, and tensors shorter than one block)
-    /// agree between backends, including the recorded θ.
+    /// agree between the fast path and naive, including the recorded θ.
     #[test]
     fn degenerate_blocks_agree(len in 0usize..40, block in 1usize..70) {
         let t = Tensor::zeros(&[len]);
         let cfg = LdqConfig::new(block, IntFormat::Int8);
         let naive = LdqTensor::quantize_naive(&t, cfg);
-        let fast = LdqTensor::quantize_with(&t, cfg, Backend::Fast);
+        let fast = LdqTensor::quantize(&t, cfg);
         prop_assert_eq!(&naive, &fast);
         prop_assert!(naive.block_thetas().iter().all(|&th| th == 0.0));
     }
@@ -267,12 +267,12 @@ proptest! {
                     ];
                     for (k, scheme) in schemes {
                         let naive = q.quantize_blocks_naive(&t, k);
-                        let fast = q.quantize_blocks_with(&t, k, Backend::Fast);
+                        let fast = q.quantize_blocks(&t, k);
                         prop_assert!(same_selections(&naive, &fast), "{scheme:?}");
                         let tq = TrainingQuantizer::new("sparse", scheme);
                         prop_assert_eq!(
                             bits(tq.fake_quantize_naive(&t).data()),
-                            bits(tq.fake_quantize_fast(&t).data()),
+                            bits(tq.fake_quantize(&t).data()),
                             "{:?}",
                             scheme
                         );
@@ -284,7 +284,7 @@ proptest! {
 }
 
 /// Non-finite contamination (NaN / ±∞) must take the same degenerate-θ
-/// path on both backends.
+/// path on the fast path as on naive.
 #[test]
 fn non_finite_blocks_agree() {
     for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
@@ -293,12 +293,12 @@ fn non_finite_blocks_agree() {
         let t = Tensor::from_vec(data, &[10]).unwrap();
         let cfg = LdqConfig::new(4, IntFormat::Int8);
         let naive = LdqTensor::quantize_naive(&t, cfg);
-        let fast = LdqTensor::quantize_with(&t, cfg, Backend::Fast);
+        let fast = LdqTensor::quantize(&t, cfg);
         assert_eq!(naive, fast, "poison {poison}");
 
         let q = E2bqmQuantizer::hardware_default();
         let sel_naive = q.quantize_blocks_naive(&t, 4);
-        let sel_fast = q.quantize_blocks_with(&t, 4, Backend::Fast);
+        let sel_fast = q.quantize_blocks(&t, 4);
         // NaN estimated errors are legitimate here (poisoned inputs), so
         // `PartialEq` on the error vectors would reject even identical
         // results — compare bitwise instead.
@@ -328,14 +328,14 @@ fn subnormal_blocks_agree() {
     let cfg = LdqConfig::new(24, IntFormat::Int8);
     assert_eq!(
         LdqTensor::quantize_naive(&t, cfg),
-        LdqTensor::quantize_with(&t, cfg, Backend::Fast)
+        LdqTensor::quantize(&t, cfg)
     );
 
     for strategy in STRATEGIES {
         for estimator in ESTIMATORS {
             let q = E2bqmQuantizer::new(4, strategy, estimator, IntFormat::Int8);
             let naive = q.quantize_blocks_naive(&t, 24);
-            let fast = q.quantize_blocks_with(&t, 24, Backend::Fast);
+            let fast = q.quantize_blocks(&t, 24);
             assert_eq!(naive, fast, "{strategy:?}/{estimator:?}");
             for (a, b) in naive.iter().zip(&fast) {
                 for (ea, eb) in a.errors.iter().zip(&b.errors) {
@@ -347,7 +347,7 @@ fn subnormal_blocks_agree() {
 }
 
 /// A tensor large enough to cross the parallel threshold must still match
-/// naive exactly through the public dispatching entry points.
+/// naive exactly through the public entry points.
 #[test]
 fn large_tensor_crosses_parallel_threshold() {
     let n = (1 << 16) + 333; // > PAR_MIN_ELEMS, ragged tail
@@ -355,16 +355,16 @@ fn large_tensor_crosses_parallel_threshold() {
     let cfg = LdqConfig::new(1024, IntFormat::Int8);
     assert_eq!(
         LdqTensor::quantize_naive(&t, cfg),
-        LdqTensor::quantize_with(&t, cfg, Backend::Fast)
+        LdqTensor::quantize(&t, cfg)
     );
     let q = E2bqmQuantizer::hardware_default();
     assert_eq!(
         q.quantize_blocks_naive(&t, 1024),
-        q.quantize_blocks_with(&t, 1024, Backend::Fast)
+        q.quantize_blocks(&t, 1024)
     );
     let tq = TrainingQuantizer::zhang2020_hqt();
     assert_eq!(
         tq.fake_quantize_naive(&t).data(),
-        tq.fake_quantize_fast(&t).data()
+        tq.fake_quantize(&t).data()
     );
 }

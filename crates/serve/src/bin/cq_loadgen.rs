@@ -10,7 +10,8 @@
 //! recomputes every streamed record in-process and compares bytes —
 //! the daemon byte-identity acceptance check. Prints a single JSON
 //! report line; exits non-zero if any sweep failed, any record
-//! mismatched, or any transport error occurred.
+//! mismatched, or any transport error occurred. An invalid `CQ_MAPPING`
+//! aborts before the first connection.
 
 use cq_serve::{run_load, LoadOptions};
 
@@ -58,6 +59,8 @@ fn main() {
         }
     }
 
+    // `--check` recomputes records under this policy.
+    let _ = cq_sim::mapping::env_policy();
     let mut opts = if quick {
         LoadOptions::quick(&addr)
     } else {

@@ -4,11 +4,13 @@
 //! cq_serve [--addr 127.0.0.1:4655] [--workers N] [--queue-cap N] [--retry-after-ms N]
 //! ```
 //!
-//! Prints `cq-serve listening on <addr>` once the socket is bound (CI
-//! waits for that line), then serves until SIGTERM/SIGINT or a
-//! protocol-level `{"type":"shutdown"}` request. Shutdown drains every
-//! admitted cell before exiting, and `CQ_TRACE`/`CQ_OBS` observability
-//! flushes on the way out, so traces stay valid.
+//! Resolves `CQ_MAPPING` before it opens a socket, so a bad value stops
+//! the daemon at start-up instead of failing its first request. Prints
+//! `cq-serve listening on <addr>` once the socket is bound (CI waits for
+//! that line), then serves until SIGTERM/SIGINT or a protocol-level
+//! `{"type":"shutdown"}` request. Shutdown drains every admitted cell
+//! before exiting, and `CQ_TRACE` observability flushes on the way
+//! out, so traces stay valid.
 
 #![deny(unsafe_code)]
 
@@ -87,6 +89,9 @@ fn main() {
         }
     }
 
+    // Every cell simulates under this policy; an invalid value aborts
+    // here, before the daemon announces itself.
+    let _ = cq_sim::mapping::env_policy();
     if let Err(e) = cq_obs::init_from_env() {
         eprintln!("cq_serve: observability init failed: {e}");
         std::process::exit(1);

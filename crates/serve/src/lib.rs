@@ -4,7 +4,7 @@
 //! Training-time design-space exploration wants many `(network, chip
 //! config, optimizer)` simulations, and re-running the simulator
 //! binary per cell repays nothing across invocations. `cq-serve` keeps
-//! one warm process — with its populated `HwCostCache` shards — behind
+//! one warm process — with its populated `HwCostCache` — behind
 //! a line-oriented TCP protocol:
 //!
 //! * **Requests** are single JSON lines naming preset keywords

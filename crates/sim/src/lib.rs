@@ -42,8 +42,7 @@ pub mod trace;
 
 pub use breakdown::{Component, EnergyBreakdown};
 pub use cache::{
-    hwcache_cap, hwcache_enabled, key_f32, key_f64, set_hwcache_enabled, CacheStats, HwCostCache,
-    HwCostKey, DEFAULT_SHARDS,
+    hwcache_enabled, key_f32, key_f64, set_hwcache_enabled, CacheStats, HwCostCache, HwCostKey,
 };
 pub use energy::{table1_rows, EnergyModel, HwCostError, Table1Row};
 pub use mapping::{Mapping, MappingEval, MappingPolicy, MappingTable, MatShape, MemHierarchy};

@@ -31,7 +31,7 @@
 //!
 //! The `CQ_MAPPING` environment knob selects the policy process-wide
 //! (`default` | `search` | a mapping-table file path) and is validated
-//! eagerly in `profiling::init_for_bin` like `CQ_BACKEND`/`CQ_SIMD`.
+//! eagerly in `profiling::init_for_bin` like `CQ_THREADS`/`CQ_SIMD`.
 
 use std::collections::BTreeMap;
 use std::fmt;
