@@ -8,14 +8,12 @@
 //! experiments measure.
 
 use cq_data::Dataset;
-use cq_faults::ChaosPlan;
 use cq_nn::{
     Adam, Conv2d, Dense, Flatten, Lstm, MaxPool2d, QuantCtx, QuantPath, Relu, SelfAttention,
     Sequential,
 };
 use cq_par::Pool;
 use cq_quant::TrainingQuantizer;
-use cq_resil::{JournaledOutcome, RetryPolicy, SweepJournal};
 use cq_sim::report::TextTable;
 
 /// A small-scale stand-in for one paper benchmark.
@@ -331,91 +329,31 @@ pub fn table8_render(rows: &[AccuracyRow]) -> TextTable {
     t
 }
 
-/// The algorithm column set of the extended sweep (all five Table III
-/// algorithms plus the FP32 reference).
-fn extended_algos(seed: u64) -> [TrainingQuantizer; 6] {
-    [
+/// Extended accuracy sweep: all five Table III algorithms (not just the
+/// two the paper's Table VIII evaluates) plus the FP32 reference, on the
+/// CNN and LSTM proxies.
+pub fn table8_extended(seed: u64) -> TextTable {
+    let tasks = [ProxyTask::AlexNet, ProxyTask::Lstm];
+    let algos = [
         TrainingQuantizer::fp32(),
         TrainingQuantizer::wang2018(seed),
         TrainingQuantizer::zhu2019(),
         TrainingQuantizer::yang2020(),
         TrainingQuantizer::zhong2020(),
         TrainingQuantizer::zhang2020(),
-    ]
-}
-
-/// The proxy tasks of the extended sweep.
-const EXTENDED_TASKS: [ProxyTask; 2] = [ProxyTask::AlexNet, ProxyTask::Lstm];
-
-/// Renders the extended table from per-cell accuracy outcomes (row-major
-/// over tasks × algorithms); a failed cell renders as `FAIL` instead of
-/// taking the whole table down.
-fn extended_render<E>(seed: u64, accs: &[Result<f64, E>]) -> TextTable {
-    let algos = extended_algos(seed);
+    ];
+    let accs = Pool::global().parallel_map(tasks.len() * algos.len(), |job| {
+        train_proxy(tasks[job / algos.len()], &algos[job % algos.len()], seed)
+    });
     let mut headers = vec!["Model".to_string()];
     headers.extend(algos.iter().map(|q| q.name().to_string()));
     let mut t = TextTable::new(headers);
-    for (ti, task) in EXTENDED_TASKS.iter().enumerate() {
+    for (task, row) in tasks.iter().zip(accs.chunks(algos.len())) {
         let mut cells = vec![task.name().to_string()];
-        for ai in 0..algos.len() {
-            cells.push(match &accs[ti * algos.len() + ai] {
-                Ok(acc) => format!("{:.1}", acc * 100.0),
-                Err(_) => "FAIL".to_string(),
-            });
-        }
+        cells.extend(row.iter().map(|acc| format!("{:.1}", acc * 100.0)));
         t.row(cells);
     }
     t
-}
-
-/// Extended accuracy sweep: all five Table III algorithms (not just the
-/// two the paper's Table VIII evaluates) on the CNN and LSTM proxies.
-pub fn table8_extended(seed: u64) -> TextTable {
-    let algos = extended_algos(seed);
-    let accs = Pool::global().parallel_map(EXTENDED_TASKS.len() * algos.len(), |job| {
-        train_proxy(
-            EXTENDED_TASKS[job / algos.len()],
-            &algos[job % algos.len()],
-            seed,
-        )
-    });
-    let ok: Vec<Result<f64, std::convert::Infallible>> = accs.into_iter().map(Ok).collect();
-    extended_render(seed, &ok)
-}
-
-/// Crash-safe variant of [`table8_extended`]: completed (task, algorithm)
-/// cells are resumed from `journal`, fresh cells are recorded as they
-/// finish, and `chaos` injects software faults into attempts (use
-/// [`ChaosPlan::off`] for none). Training runs are seeded, so a resumed
-/// table is byte-identical to an uninterrupted one.
-pub fn table8_extended_journaled(
-    seed: u64,
-    journal: &SweepJournal,
-    policy: &RetryPolicy,
-    chaos: &ChaosPlan,
-) -> std::io::Result<(TextTable, JournaledOutcome<f64>)> {
-    let algos = extended_algos(seed);
-    let cols = algos.len();
-    let outcome = cq_resil::run_journaled(
-        Pool::global(),
-        policy,
-        journal,
-        EXTENDED_TASKS.len() * cols,
-        |job| {
-            format!(
-                "table8ext/{seed}/{}/{}",
-                EXTENDED_TASKS[job / cols].name(),
-                algos[job % cols].name()
-            )
-        },
-        |acc: &f64| format!("{acc:?}"),
-        |s| s.parse::<f64>().ok(),
-        |job, attempt| {
-            chaos.inject(job as u64, attempt);
-            train_proxy(EXTENDED_TASKS[job / cols], &algos[job % cols], seed)
-        },
-    )?;
-    Ok((extended_render(seed, &outcome.results), outcome))
 }
 
 #[cfg(test)]
@@ -440,33 +378,6 @@ mod tests {
             hqt >= fp32 - 0.08,
             "quantized {hqt} much worse than fp32 {fp32}"
         );
-    }
-
-    #[test]
-    fn extended_journaled_resumes_byte_identical() {
-        let path = std::env::temp_dir().join(format!(
-            "cq_experiments_table8ext_{}.journal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let policy = RetryPolicy::default();
-        let chaos = ChaosPlan::moderate(3);
-
-        let journal = SweepJournal::open(&path).unwrap();
-        let (t1, o1) = table8_extended_journaled(42, &journal, &policy, &chaos).unwrap();
-        assert!(o1.failures().is_empty(), "chaos must be absorbed by retry");
-        assert_eq!(o1.computed, 12);
-
-        let journal = SweepJournal::open(&path).unwrap();
-        let (t2, o2) = table8_extended_journaled(42, &journal, &policy, &chaos).unwrap();
-        assert_eq!(o2.resumed, 12);
-        assert_eq!(o2.computed, 0, "resume must not retrain");
-        assert_eq!(
-            t1.to_string(),
-            t2.to_string(),
-            "resumed table must be byte-identical"
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -38,14 +38,12 @@
 //! | `timing_crosscheck` | [`crosscheck`] | two timing models agree |
 //! | `table8_extended` | [`accuracy`] | all five Table III algorithms |
 //! | `fault_sweep` | [`resilience`] | resilience under injected faults |
-//! | `chaos_sweep` | [`chaos`] | kill-and-resume sweep under software chaos |
 //! | `mapping_search` | [`mapping`] | per-layer searched mappings vs the streaming default |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod accuracy;
-pub mod chaos;
 pub mod crosscheck;
 pub mod extensions;
 pub mod hqt;

@@ -2,11 +2,9 @@
 
 use cq_accel::{CambriconQ, CqConfig, ScaleVariant};
 use cq_baselines::{GpuModel, Tpu};
-use cq_faults::ChaosPlan;
 use cq_ndp::OptimizerKind;
 use cq_par::Pool;
 use cq_quant::IntFormat;
-use cq_resil::{JournaledOutcome, RetryPolicy, SweepJournal};
 use cq_sim::report::{ratio, TextTable};
 use cq_sim::{geomean, Component, Phase, SimResult};
 use cq_workloads::{models, Network};
@@ -80,78 +78,6 @@ pub fn run_comparison() -> Vec<Comparison> {
             gpu: gpu.simulate(net, opt, true),
         }
     })
-}
-
-/// Field separator of [`comparison_record`]: one level above the tab
-/// separator [`SimResult::to_record`] uses inside each platform record.
-const COMPARISON_SEP: char = '\x1E';
-
-/// Serializes a comparison as five `\x1E`-separated fields (network name
-/// plus the four platform [`SimResult`] records) that
-/// [`comparison_from_record`] decodes back exactly.
-pub fn comparison_record(c: &Comparison) -> String {
-    [
-        c.network.clone(),
-        c.cq.to_record(),
-        c.cq_no_ndp.to_record(),
-        c.tpu.to_record(),
-        c.gpu.to_record(),
-    ]
-    .join(&COMPARISON_SEP.to_string())
-}
-
-/// Decodes a line produced by [`comparison_record`]; `None` for anything
-/// malformed, which makes the journaled comparison recompute the cell.
-pub fn comparison_from_record(record: &str) -> Option<Comparison> {
-    let parts: Vec<&str> = record.split(COMPARISON_SEP).collect();
-    if parts.len() != 5 {
-        return None;
-    }
-    Some(Comparison {
-        network: parts[0].to_string(),
-        cq: SimResult::from_record(parts[1])?,
-        cq_no_ndp: SimResult::from_record(parts[2])?,
-        tpu: SimResult::from_record(parts[3])?,
-        gpu: SimResult::from_record(parts[4])?,
-    })
-}
-
-/// Crash-safe variant of [`run_comparison`]: benchmarks already in
-/// `journal` are decoded instead of re-simulated, fresh ones are recorded
-/// as they finish, and `chaos` injects software faults into attempts
-/// (use [`ChaosPlan::off`] for none). The simulators are deterministic,
-/// so a killed and resumed comparison is byte-identical.
-pub fn run_comparison_journaled(
-    journal: &SweepJournal,
-    policy: &RetryPolicy,
-    chaos: &ChaosPlan,
-) -> std::io::Result<JournaledOutcome<Comparison>> {
-    let opt = default_optimizer();
-    let cq = CambriconQ::edge();
-    let cq_no_ndp = CambriconQ::new(CqConfig::edge().without_ndp());
-    let tpu = Tpu::paper();
-    let gpu = GpuModel::jetson_tx2();
-    let nets = models::all_benchmarks();
-    cq_resil::run_journaled(
-        Pool::global(),
-        policy,
-        journal,
-        nets.len(),
-        |i| format!("fig12/{}", nets[i].name),
-        comparison_record,
-        comparison_from_record,
-        |i, attempt| {
-            chaos.inject(i as u64, attempt);
-            let net = &nets[i];
-            Comparison {
-                network: net.name.clone(),
-                cq: cq.simulate(net, opt),
-                cq_no_ndp: cq_no_ndp.simulate(net, opt),
-                tpu: tpu.simulate(net, opt),
-                gpu: gpu.simulate(net, opt, true),
-            }
-        },
-    )
 }
 
 /// Fig. 12(a): speedup table plus geomeans.
@@ -386,36 +312,6 @@ mod tests {
         let refs: Vec<&SimResult> = rows.iter().map(|r| &r.cq).collect();
         assert!(fig12b_table(&refs).to_string().contains("FW"));
         assert!(ablation_ndp_table(&rows).to_string().contains("NDP"));
-    }
-
-    #[test]
-    fn journaled_comparison_matches_and_resumes() {
-        let path = std::env::temp_dir().join(format!(
-            "cq_experiments_fig12_{}.journal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let reference = run_comparison();
-        for r in &reference {
-            let decoded = comparison_from_record(&comparison_record(r)).expect("decodes");
-            assert_eq!(r, &decoded, "codec round-trip must be exact");
-        }
-        assert!(comparison_from_record("junk").is_none());
-
-        let policy = RetryPolicy::default();
-        let chaos = ChaosPlan::moderate(5);
-        let journal = SweepJournal::open(&path).unwrap();
-        let first = run_comparison_journaled(&journal, &policy, &chaos).unwrap();
-        let got: Vec<Comparison> = first.results.into_iter().map(Result::unwrap).collect();
-        assert_eq!(got, reference, "chaos must not change results");
-
-        let journal = SweepJournal::open(&path).unwrap();
-        let second = run_comparison_journaled(&journal, &policy, &chaos).unwrap();
-        assert_eq!(second.resumed, reference.len());
-        assert_eq!(second.computed, 0, "resume must not re-simulate");
-        let resumed: Vec<Comparison> = second.results.into_iter().map(Result::unwrap).collect();
-        assert_eq!(resumed, reference, "resume must be byte-identical");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

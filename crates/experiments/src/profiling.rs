@@ -32,22 +32,9 @@ impl Drop for ProfileGuard {
     }
 }
 
-/// The `CQ_*` environment variables the workspace reads, each checked
-/// by [`init_for_bin`]: `CQ_THREADS`, `CQ_SIMD` and `CQ_TUNE_FILE`
-/// (cq-par), `CQ_QUANT_PATH` (cq-nn), `CQ_MAPPING` (cq-sim) and
-/// `CQ_TRACE` (cq-obs).
-pub const KNOBS: [&str; 6] = [
-    "CQ_THREADS",
-    "CQ_SIMD",
-    "CQ_TUNE_FILE",
-    "CQ_QUANT_PATH",
-    "CQ_MAPPING",
-    "CQ_TRACE",
-];
-
 /// Extracts the value of a `<flag> <path>` / `<flag>=<path>` option
-/// (e.g. `--profile`, `--journal`) from raw command-line arguments; the
-/// last occurrence wins. Pure so it can be unit tested.
+/// (e.g. `--profile`) from raw command-line arguments; the last
+/// occurrence wins. Pure so it can be unit tested.
 pub fn flag_path<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<String> {
     let mut args = args.into_iter();
     let mut path = None;
@@ -66,7 +53,8 @@ pub fn flag_path<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<
 /// aborts — a requested profile that silently produces nothing is the
 /// exact failure mode this subsystem exists to kill.
 ///
-/// Also aborts on any `CQ_*` variable that is not one of [`KNOBS`], and
+/// Also aborts on any `CQ_*` variable that is not one of
+/// [`cq_obs::KNOBS`] ([`cq_obs::reject_unknown_knobs`]), and
 /// validates `CQ_THREADS`, `CQ_QUANT_PATH`, `CQ_SIMD`, `CQ_TUNE_FILE`
 /// and `CQ_MAPPING` eagerly: pure-simulation binaries never dispatch a
 /// dense kernel or start a pool, and a quantized forward only reads the
@@ -77,15 +65,7 @@ pub fn flag_path<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<
 /// and an `fp32`-vs-`int8` A/B accuracy run would silently compare a
 /// path against itself.
 pub fn init_for_bin() -> ProfileGuard {
-    for (name, _) in std::env::vars_os() {
-        let name = name.to_string_lossy();
-        if name.starts_with("CQ_") && !KNOBS.contains(&name.as_ref()) {
-            panic!(
-                "unknown environment variable {name}; the CQ_* knobs are {}",
-                KNOBS.join(", ")
-            );
-        }
-    }
+    cq_obs::reject_unknown_knobs();
     let _ = cq_par::Pool::global();
     let _ = cq_nn::env_quant_path();
     let _ = cq_tensor::fast_path_info();
@@ -131,9 +111,9 @@ mod tests {
         assert_eq!(profile(&["--profile"]), None);
         // Other flags, and names that merely start with the flag, are
         // not the flag.
-        assert_eq!(profile(&["--profiler=x", "--journal", "j"]), None);
+        assert_eq!(profile(&["--profiler=x", "--quick", "j"]), None);
         assert_eq!(
-            flag_path(strs(&["--profile", "t.json", "--journal=j"]), "--journal"),
+            flag_path(strs(&["--profile", "t.json", "--out=j"]), "--out"),
             Some("j".into())
         );
     }

@@ -22,12 +22,10 @@
 //! one.
 
 use cq_accel::{CambriconQ, CqConfig, Squ};
-use cq_faults::{ChaosPlan, EventCounts, FaultDomain, FaultEvent, FaultPlan, ResilienceReport};
-use cq_mem::EccStats;
+use cq_faults::{EventCounts, FaultDomain, FaultEvent, FaultPlan, ResilienceReport};
 use cq_ndp::OptimizerKind;
 use cq_par::Pool;
 use cq_quant::E2bqmQuantizer;
-use cq_resil::{JournaledOutcome, RetryPolicy, SweepJournal};
 use cq_sim::report::TextTable;
 use cq_tensor::Tensor;
 use cq_workloads::{models, Network};
@@ -136,10 +134,13 @@ pub fn run_cell(net: &Network, plan: &FaultPlan) -> ResilienceReport {
     }
 }
 
-/// The flattened sweep grid: six benchmarks × [`SWEEP_BERS`] × three
-/// configurations, in the row order of the original nested loops.
-pub fn sweep_cells() -> Vec<(Network, FaultPlan)> {
-    models::all_benchmarks()
+/// The full sweep: six benchmarks × [`SWEEP_BERS`] × three configurations.
+///
+/// Every cell is deterministic and independent (each plan carries its own
+/// seeded sampler), so the flattened grid fans out over the worker pool;
+/// row order matches the original nested loops exactly.
+pub fn run_sweep() -> Vec<ResilienceReport> {
+    let cells: Vec<(Network, FaultPlan)> = models::all_benchmarks()
         .into_iter()
         .flat_map(|net| {
             SWEEP_BERS.into_iter().flat_map(move |ber| {
@@ -147,117 +148,8 @@ pub fn sweep_cells() -> Vec<(Network, FaultPlan)> {
                 sweep_plans(ber).into_iter().map(move |p| (net.clone(), p))
             })
         })
-        .collect()
-}
-
-/// The full sweep: six benchmarks × [`SWEEP_BERS`] × three configurations.
-///
-/// Every cell is deterministic and independent (each plan carries its own
-/// seeded sampler), so the flattened grid fans out over the worker pool;
-/// row order matches the original nested loops exactly.
-pub fn run_sweep() -> Vec<ResilienceReport> {
-    let cells = sweep_cells();
+        .collect();
     Pool::global().parallel_map(cells.len(), |i| run_cell(&cells[i].0, &cells[i].1))
-}
-
-/// The journal key of one sweep cell. Bakes in every input that selects
-/// the cell's result: workload, protection config, and exact fault rate.
-pub fn cell_key(net: &Network, plan: &FaultPlan) -> String {
-    format!("cell/{}/{:?}/{}", net.name, plan.dram_ber, plan.label())
-}
-
-/// Serializes one report as a tab-separated line that
-/// [`report_from_record`] decodes back *exactly* (floats use Rust's
-/// shortest-roundtrip `Debug` text), so a resumed sweep renders a
-/// byte-identical table.
-pub fn report_record(r: &ResilienceReport) -> String {
-    let fields = [
-        r.workload.clone(),
-        r.config.clone(),
-        format!("{:?}", r.ber),
-        r.cycles.to_string(),
-        format!("{:?}", r.energy_mj),
-        r.ecc.words_checked.to_string(),
-        r.ecc.bit_flips_injected.to_string(),
-        r.ecc.corrected.to_string(),
-        r.ecc.detected_uncorrectable.to_string(),
-        r.ecc.miscorrected.to_string(),
-        r.ecc.silent_bit_flips.to_string(),
-        r.ecc.check_cycles.to_string(),
-        r.ecc.correct_cycles.to_string(),
-        format!("{:?}", r.ecc.energy_pj),
-        r.counts.injected.to_string(),
-        r.counts.corrected.to_string(),
-        r.counts.uncorrectable.to_string(),
-        r.counts.silent.to_string(),
-        r.counts.degraded_precision.to_string(),
-        r.counts.sanitized.to_string(),
-        r.counts.statistic_recovered.to_string(),
-    ];
-    fields.join("\t")
-}
-
-/// Decodes a line produced by [`report_record`]; `None` for anything
-/// malformed, which makes the journaled sweep recompute the cell.
-pub fn report_from_record(record: &str) -> Option<ResilienceReport> {
-    let f: Vec<&str> = record.split('\t').collect();
-    if f.len() != 21 {
-        return None;
-    }
-    Some(ResilienceReport {
-        workload: f[0].to_string(),
-        config: f[1].to_string(),
-        ber: f[2].parse().ok()?,
-        cycles: f[3].parse().ok()?,
-        energy_mj: f[4].parse().ok()?,
-        ecc: EccStats {
-            words_checked: f[5].parse().ok()?,
-            bit_flips_injected: f[6].parse().ok()?,
-            corrected: f[7].parse().ok()?,
-            detected_uncorrectable: f[8].parse().ok()?,
-            miscorrected: f[9].parse().ok()?,
-            silent_bit_flips: f[10].parse().ok()?,
-            check_cycles: f[11].parse().ok()?,
-            correct_cycles: f[12].parse().ok()?,
-            energy_pj: f[13].parse().ok()?,
-        },
-        counts: EventCounts {
-            injected: f[14].parse().ok()?,
-            corrected: f[15].parse().ok()?,
-            uncorrectable: f[16].parse().ok()?,
-            silent: f[17].parse().ok()?,
-            degraded_precision: f[18].parse().ok()?,
-            sanitized: f[19].parse().ok()?,
-            statistic_recovered: f[20].parse().ok()?,
-        },
-    })
-}
-
-/// Crash-safe variant of [`run_sweep`]: cells already in `journal` are
-/// decoded instead of recomputed, fresh cells are recorded the moment
-/// they finish, and `chaos` injects software faults into attempts (use
-/// [`ChaosPlan::off`] for none). Because every cell is a pure function
-/// of its inputs and the record codec round-trips exactly, a killed and
-/// resumed sweep produces a byte-identical table.
-pub fn run_sweep_journaled(
-    journal: &SweepJournal,
-    policy: &RetryPolicy,
-    chaos: &ChaosPlan,
-) -> std::io::Result<JournaledOutcome<ResilienceReport>> {
-    let cells = sweep_cells();
-    cq_resil::run_journaled(
-        Pool::global(),
-        policy,
-        journal,
-        cells.len(),
-        |i| cell_key(&cells[i].0, &cells[i].1),
-        report_record,
-        report_from_record,
-        |i, attempt| {
-            chaos.inject(i as u64, attempt);
-            run_cell(&cells[i].0, &cells[i].1)
-        },
-    )
 }
 
 /// Renders the sweep as a text table.
@@ -323,76 +215,6 @@ mod tests {
             "unprotected DDR faults at 1e-6 over a full iteration pass silently"
         );
         assert!(with_ecc.ecc.corrected > 0, "SECDED corrects isolated flips");
-    }
-
-    #[test]
-    fn report_codec_roundtrips_exactly() {
-        let net = models::alexnet();
-        for plan in sweep_plans(1e-6) {
-            let r = run_cell(&net, &plan);
-            let decoded = report_from_record(&report_record(&r)).expect("decodes");
-            assert_eq!(r, decoded, "round-trip must be exact");
-            assert_eq!(report_record(&r), report_record(&decoded));
-        }
-        assert!(report_from_record("junk").is_none());
-        assert!(report_from_record("").is_none());
-    }
-
-    #[test]
-    fn cell_keys_are_unique_across_the_grid() {
-        let cells = sweep_cells();
-        let keys: std::collections::HashSet<String> =
-            cells.iter().map(|(n, p)| cell_key(n, p)).collect();
-        assert_eq!(keys.len(), cells.len(), "duplicate journal keys");
-    }
-
-    #[test]
-    fn journaled_subset_resumes_byte_identical_under_chaos() {
-        let path = std::env::temp_dir().join(format!(
-            "cq_experiments_chaos_subset_{}.journal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let cells: Vec<_> = sweep_cells().into_iter().take(6).collect();
-        let reference: Vec<ResilienceReport> = cells.iter().map(|(n, p)| run_cell(n, p)).collect();
-
-        let policy = cq_resil::RetryPolicy::default();
-        let chaos = ChaosPlan::moderate(SWEEP_SEED);
-        let run = |journal: &SweepJournal| {
-            cq_resil::run_journaled(
-                Pool::global(),
-                &policy,
-                journal,
-                cells.len(),
-                |i| cell_key(&cells[i].0, &cells[i].1),
-                report_record,
-                report_from_record,
-                |i, attempt| {
-                    chaos.inject(i as u64, attempt);
-                    run_cell(&cells[i].0, &cells[i].1)
-                },
-            )
-            .expect("journal writable")
-        };
-
-        // Chaotic first run: injected panics are absorbed by retries and
-        // the results still match the serial, chaos-free reference.
-        let journal = SweepJournal::open(&path).expect("journal opens");
-        let first = run(&journal);
-        assert_eq!(first.computed, cells.len());
-        let got: Vec<ResilienceReport> = first.results.into_iter().map(Result::unwrap).collect();
-        assert_eq!(got, reference, "chaos must not change results");
-
-        // Resume: every cell comes from the journal, none recompute, and
-        // the decoded reports are byte-identical to the reference.
-        let journal = SweepJournal::open(&path).expect("journal reopens");
-        let second = run(&journal);
-        assert_eq!(second.resumed, cells.len());
-        assert_eq!(second.computed, 0);
-        let resumed: Vec<ResilienceReport> =
-            second.results.into_iter().map(Result::unwrap).collect();
-        assert_eq!(resumed, reference, "resume must be byte-identical");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -19,10 +19,6 @@
 //!   helpers to stamp a `DdrConfig` and mint injectors reproducibly.
 //! - [`ResilienceReport`] — per-(workload, config, rate) outcome rows and
 //!   their text-table rendering for the `fault_sweep` experiment.
-//! - [`ChaosPlan`]/[`BlobCorruptor`] — the *software* chaos harness:
-//!   seeded task panics, stragglers, and checkpoint corruption aimed at
-//!   the crash-safe execution layer (`cq-resil`) rather than the
-//!   hardware model; driven by the `chaos_sweep` experiment.
 //!
 //! # Examples
 //!
@@ -39,13 +35,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod chaos;
 mod events;
 mod inject;
 mod plan;
 pub mod secded;
 
-pub use chaos::{BlobCorruptor, ChaosAction, ChaosPlan};
 pub use events::{EventCounts, FaultDomain, FaultEvent, ResilienceReport};
 pub use inject::{FaultInjector, FaultKind};
 pub use plan::FaultPlan;

@@ -9,7 +9,7 @@
 //!
 //! with the payload being the v1 body: u32 param count, then per
 //! parameter a u32 element count followed by little-endian f32 values.
-//! The CRC-32 (IEEE, zlib-compatible — see [`cq_resil::crc32`]) covers
+//! The CRC-32 (IEEE, zlib-compatible) covers
 //! the payload, so a torn write, a flipped bit or a length lie is
 //! detected *before* any value reaches the model. Legacy v1 blobs
 //! (bare `CQCK` magic, no integrity frame) still load.
@@ -24,9 +24,9 @@
 //! kill mid-save leaves either the old checkpoint or the new one —
 //! never a half-written hybrid.
 
+use crate::crc32::crc32;
 use crate::error::NnError;
 use crate::model::Sequential;
-use cq_resil::crc32;
 use std::io::Write;
 use std::path::Path;
 

@@ -1,5 +1,5 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the integrity
-//! check framing every journal line and the `CQCK` v2 checkpoint payload.
+//! check framing the `CQK2` checkpoint payload.
 //!
 //! Table-driven, byte-at-a-time. The table is computed once at first use;
 //! the polynomial and bit order match zlib's `crc32`, so frames written
@@ -27,14 +27,7 @@ fn table() -> &'static [u32; 256] {
 }
 
 /// CRC-32 (IEEE) of `bytes`.
-///
-/// # Examples
-///
-/// ```
-/// // The classic check value.
-/// assert_eq!(cq_resil::crc32(b"123456789"), 0xCBF4_3926);
-/// ```
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = table();
     let mut c = !0u32;
     for &b in bytes {

@@ -43,6 +43,7 @@
 mod activations;
 mod attention;
 pub mod checkpoint;
+mod crc32;
 mod error;
 pub mod intpath;
 mod layers;
@@ -52,7 +53,6 @@ mod model;
 pub mod optim;
 mod param;
 pub mod schedule;
-mod watchdog;
 
 pub use activations::{BatchNorm1d, Sigmoid, Tanh};
 pub use attention::SelfAttention;
@@ -64,4 +64,3 @@ pub use model::{Sequential, StepReport};
 pub use optim::{AdaGrad, Adam, Optimizer, RmsProp, Sgd};
 pub use param::Param;
 pub use schedule::LrSchedule;
-pub use watchdog::{TrainWatchdog, WatchdogVerdict};

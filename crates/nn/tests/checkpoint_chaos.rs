@@ -6,6 +6,8 @@
 use cq_nn::{checkpoint, Dense, NnError, QuantCtx, Relu, Sequential};
 use cq_tensor::init;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn model(seed: u64) -> Sequential {
     let mut m = Sequential::new();
@@ -44,11 +46,10 @@ proptest! {
     fn bit_flips_are_rejected(seed in 0u64..500, nflips in 1usize..9, flip_seed in 0u64..u64::MAX) {
         let mut m = model(seed);
         let mut blob = checkpoint::save(&mut m);
-        let mut s = flip_seed;
+        let mut rng = StdRng::seed_from_u64(flip_seed);
         for _ in 0..nflips {
-            s = cq_resil::splitmix64(s);
-            let pos = (s as usize) % blob.len();
-            let bit = ((s >> 32) % 8) as u8;
+            let pos = rng.gen_range(0..blob.len());
+            let bit: u8 = rng.gen_range(0..8);
             blob[pos] ^= 1 << bit;
         }
         assert_load_is_safe(&blob, &mut m)?;
@@ -58,7 +59,7 @@ proptest! {
     fn truncation_is_rejected(seed in 0u64..500, cut_seed in 0u64..u64::MAX) {
         let mut m = model(seed);
         let mut blob = checkpoint::save(&mut m);
-        let keep = (cq_resil::splitmix64(cut_seed) as usize) % blob.len();
+        let keep = StdRng::seed_from_u64(cut_seed).gen_range(0..blob.len());
         blob.truncate(keep);
         let mut fresh = model(777);
         prop_assert!(
@@ -102,13 +103,8 @@ proptest! {
 
     #[test]
     fn random_bytes_never_panic(len in 0usize..256, seed in 0u64..u64::MAX) {
-        let mut s = seed;
-        let blob: Vec<u8> = (0..len)
-            .map(|_| {
-                s = cq_resil::splitmix64(s);
-                s as u8
-            })
-            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let blob: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         let mut fresh = model(777);
         prop_assert!(checkpoint::load(&mut fresh, &blob).is_err());
     }

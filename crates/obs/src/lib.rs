@@ -143,6 +143,34 @@ pub fn init_to_path(path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The `CQ_*` environment variables the workspace reads:
+/// `CQ_THREADS`, `CQ_SIMD` and `CQ_TUNE_FILE` (cq-par), `CQ_QUANT_PATH`
+/// (cq-nn), `CQ_MAPPING` (cq-sim) and `CQ_TRACE` (this crate).
+pub const KNOBS: [&str; 6] = [
+    "CQ_THREADS",
+    "CQ_SIMD",
+    "CQ_TUNE_FILE",
+    "CQ_QUANT_PATH",
+    "CQ_MAPPING",
+    "CQ_TRACE",
+];
+
+/// Panics on the first `CQ_*` environment variable that is not one of
+/// [`KNOBS`], naming it and listing the knobs. Binaries call this before
+/// anything else, so a stale or misspelt name (`CQ_THREAD=2`) stops the
+/// run instead of being silently ignored.
+pub fn reject_unknown_knobs() {
+    for (name, _) in std::env::vars_os() {
+        let name = name.to_string_lossy();
+        if name.starts_with("CQ_") && !KNOBS.contains(&name.as_ref()) {
+            panic!(
+                "unknown environment variable {name}; the CQ_* knobs are {}",
+                KNOBS.join(", ")
+            );
+        }
+    }
+}
+
 /// Reads `CQ_TRACE` and installs the matching file sink. Returns the
 /// path when tracing was enabled. An unset or empty variable leaves
 /// tracing off; an unwritable path is an error (callers should fail

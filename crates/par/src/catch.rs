@@ -2,11 +2,12 @@
 
 /// Runs `f`, converting a panic into `Err(message)` instead of unwinding.
 ///
-/// This is the isolation boundary the resilience layer (`cq-resil`)
-/// builds on: a task that panics fails *as a value*, so the worker
-/// thread, the pool and every sibling task keep running. `&str` and
+/// This is the isolation boundary of cq-serve's workers: a cell that
+/// panics fails *as a value* and becomes one `cell_error` frame, so the
+/// worker thread and every sibling cell keep running. `&str` and
 /// `String` panic payloads are rendered verbatim; any other payload type
-/// becomes a placeholder.
+/// becomes a placeholder. The panic hook still runs, so the panic is
+/// reported on stderr as usual.
 ///
 /// Note the contrast with [`crate::Pool::parallel_map`], which
 /// deliberately *propagates* worker panics (fail-stop is the right

@@ -33,25 +33,6 @@ pub enum Backend {
     Fast,
 }
 
-impl Backend {
-    /// Parses `"naive"` / `"fast"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "naive" => Some(Backend::Naive),
-            "fast" => Some(Backend::Fast),
-            _ => None,
-        }
-    }
-
-    /// Short display name (`"naive"` / `"fast"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Naive => "naive",
-            Backend::Fast => "fast",
-        }
-    }
-}
-
 /// One-line description of what the Fast backend resolves to on this
 /// process: SIMD micro-kernel level and blocking plan (e.g.
 /// `"avx2 6x16 kc=512 mc=144 nc=2048"`). Forces plan resolution, so a
@@ -59,18 +40,4 @@ impl Backend {
 /// bench and experiment binaries print this up front for provenance.
 pub fn fast_path_info() -> String {
     cq_par::describe_active_plan()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_accepts_both_names() {
-        assert_eq!(Backend::parse("naive"), Some(Backend::Naive));
-        assert_eq!(Backend::parse(" Fast "), Some(Backend::Fast));
-        assert_eq!(Backend::parse("gpu"), None);
-        assert_eq!(Backend::Naive.name(), "naive");
-        assert_eq!(Backend::Fast.name(), "fast");
-    }
 }

@@ -10,8 +10,9 @@
 //! recomputes every streamed record in-process and compares bytes —
 //! the daemon byte-identity acceptance check. Prints a single JSON
 //! report line; exits non-zero if any sweep failed, any record
-//! mismatched, or any transport error occurred. An invalid `CQ_MAPPING`
-//! aborts before the first connection.
+//! mismatched, or any transport error occurred. A `CQ_*` name outside
+//! [`cq_obs::KNOBS`] or an invalid `CQ_MAPPING` aborts before the first
+//! connection.
 
 use cq_serve::{run_load, LoadOptions};
 
@@ -31,6 +32,7 @@ fn csv(s: &str) -> Vec<String> {
 }
 
 fn main() {
+    cq_obs::reject_unknown_knobs();
     let mut addr = "127.0.0.1:4655".to_string();
     let mut quick = false;
     let mut check = false;

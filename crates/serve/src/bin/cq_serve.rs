@@ -4,8 +4,10 @@
 //! cq_serve [--addr 127.0.0.1:4655] [--workers N] [--queue-cap N] [--retry-after-ms N]
 //! ```
 //!
-//! Resolves `CQ_MAPPING` before it opens a socket, so a bad value stops
-//! the daemon at start-up instead of failing its first request. Prints
+//! Refuses any `CQ_*` name outside [`cq_obs::KNOBS`] and resolves
+//! `CQ_MAPPING` before it opens a socket, so a misspelt name or a bad
+//! value stops the daemon at start-up instead of being ignored or
+//! failing its first request. Prints
 //! `cq-serve listening on <addr>` once the socket is bound (CI waits for
 //! that line), then serves until SIGTERM/SIGINT or a protocol-level
 //! `{"type":"shutdown"}` request. Shutdown drains every admitted cell
@@ -66,6 +68,7 @@ fn usage() -> ! {
 }
 
 fn main() {
+    cq_obs::reject_unknown_knobs();
     let mut addr = "127.0.0.1:4655".to_string();
     let mut cfg = ServerConfig::default();
     fn number<T: std::str::FromStr>(name: &str, value: Option<String>) -> T {

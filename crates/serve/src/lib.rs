@@ -14,9 +14,9 @@
 //!   ([`cq_par::BoundedQueue`]); when the grid does not fit the free
 //!   slots the client gets `rejected` with `retry_after_ms` advice —
 //!   the daemon never buffers unadmitted work.
-//! * **Workers** drain the queue on the `cq-par` pool, wrap every cell
-//!   in [`cq_resil::run_task`] (panic isolation + retries), and results
-//!   stream back as JSONL frames carrying the exact
+//! * **Workers** drain the queue on the `cq-par` pool, run every cell
+//!   once under [`cq_par::catch_task`] (a panic fails only its cell), and
+//!   results stream back as JSONL frames carrying the exact
 //!   [`cq_sim::SimResult::to_record`] bytes plus `sim.*`/`serve.*`
 //!   counters.
 //!

@@ -19,8 +19,8 @@
 //!   `SimResult::to_record()` (tab-separated, shortest-roundtrip float
 //!   text), so a client can byte-compare it against a local
 //!   `CambriconQ::simulate` of the same cell.
-//! * `cell_error` — the cell kept failing after the server's retry
-//!   budget; its siblings still complete.
+//! * `cell_error` — the cell panicked; `error` carries the panic
+//!   message, and its siblings still complete.
 //! * `done` — terminates a sweep's frame stream; carries `sim.*` and
 //!   `serve.*` counters.
 //! * `rejected` — backpressure: nothing was admitted (all-or-nothing),
@@ -185,7 +185,7 @@ pub enum Frame {
         /// `SimResult::to_record()`, byte-exact.
         record: String,
     },
-    /// One cell that exhausted the server's retry budget.
+    /// One cell whose simulation panicked.
     CellError {
         /// Echoed request id.
         id: String,

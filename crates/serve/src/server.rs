@@ -35,17 +35,17 @@
 //!
 //! # Failure semantics
 //!
-//! Workers run every cell through [`cq_resil::run_task`], so a poisoned
-//! cell (panic in the simulator) burns its retry budget and becomes a
-//! `cell_error` frame; sibling cells, other requests and the worker
-//! itself are unaffected. Request parse/validation failures never reach
-//! the queue.
+//! Workers run every cell once through [`cq_par::catch_task`], so a
+//! poisoned cell (panic in the simulator) becomes a `cell_error` frame
+//! carrying the panic message; sibling cells, other requests and the
+//! worker itself are unaffected. Cells are deterministic, so a cell that
+//! panicked is not retried. Request parse/validation failures never
+//! reach the queue.
 
 use crate::protocol::{parse_request, Cell, Frame, Request, SweepRequest};
 use crate::registry;
 use cq_accel::CambriconQ;
 use cq_par::{BatchRejected, BoundedQueue, Pool};
-use cq_resil::{run_task, RetryPolicy};
 use cq_sim::HwCostKey;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
@@ -54,11 +54,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Test/chaos hook: runs inside the worker's retry loop before every
-/// simulation attempt of a cell. Panics it raises are isolated and
-/// retried exactly like simulator panics, which is how the tests drive
-/// the poisoned-cell path without patching the simulator.
-pub type FaultHook = Arc<dyn Fn(&Cell, u32) + Send + Sync>;
+/// Test hook: runs on the worker right before a cell is simulated.
+/// Panics it raises are isolated exactly like simulator panics, which is
+/// how the tests drive the poisoned-cell path without patching the
+/// simulator.
+pub type FaultHook = Arc<dyn Fn(&Cell) + Send + Sync>;
 
 /// Tunables of a [`Server`].
 #[derive(Clone)]
@@ -67,11 +67,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Queue capacity in cells; bounds admitted-but-unstarted work.
     pub queue_cap: usize,
-    /// Retry/deadline/panic policy applied to every cell.
-    pub retry: RetryPolicy,
     /// Advice sent with `rejected` frames.
     pub retry_after_ms: u64,
-    /// Optional per-attempt chaos hook (see [`FaultHook`]).
+    /// Optional per-cell test hook (see [`FaultHook`]).
     pub fault: Option<FaultHook>,
 }
 
@@ -82,7 +80,6 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             queue_cap: 256,
-            retry: RetryPolicy::default(),
             retry_after_ms: 25,
             fault: None,
         }
@@ -122,7 +119,6 @@ type Reply = mpsc::Sender<(Cell, Result<String, String>)>;
 struct Job {
     cell: Cell,
     key: HwCostKey,
-    index: usize,
     reply: Reply,
 }
 
@@ -222,20 +218,14 @@ impl Server {
 
     fn worker_loop(&self, _worker: usize) {
         while let Some(job) = self.queue.pop() {
-            let Job {
-                cell,
-                key,
-                index,
-                reply,
-            } = job;
-            let fault = self.cfg.fault.as_deref();
-            let outcome = run_task(&self.cfg.retry, index, |_, attempt| {
-                if let Some(hook) = fault {
-                    hook(&cell, attempt);
+            let Job { cell, key, reply } = job;
+            let outcome = cq_par::catch_task(|| {
+                if let Some(hook) = &self.cfg.fault {
+                    hook(&cell);
                 }
                 simulate_cell(&cell).expect("cell presets validated at admission")
             })
-            .map_err(|failure| failure.to_string());
+            .map_err(|message| format!("panicked: {message}"));
             match &outcome {
                 Ok(_) => cq_obs::counter!("serve.cells_ok").incr(),
                 Err(_) => cq_obs::counter!("serve.cells_failed").incr(),
@@ -342,7 +332,7 @@ impl Server {
             let mut jobs = Vec::new();
             let mut primaries: Vec<HwCostKey> = Vec::new();
             let mut joined: Vec<HwCostKey> = Vec::new();
-            for (index, cell) in cells.into_iter().enumerate() {
+            for cell in cells {
                 let key = cell_key(&cell);
                 if let Some(waiters) = inflight.get_mut(&key) {
                     waiters.push(Waiter {
@@ -357,7 +347,6 @@ impl Server {
                     jobs.push(Job {
                         cell,
                         key,
-                        index,
                         reply: tx.clone(),
                     });
                 }

@@ -81,7 +81,8 @@ impl SimResult {
 
     /// Serializes to one tab-separated line that [`SimResult::from_record`]
     /// decodes back *exactly* (floats use Rust's shortest-roundtrip `Debug`
-    /// text), so journaled sweep cells resume bit-identical.
+    /// text), so a record shipped between processes (cq-serve's `cell`
+    /// frames) compares byte for byte.
     ///
     /// Fields: platform, workload, freq_ghz, six per-phase cycle counts,
     /// six per-phase energies (pJ), four per-component energies (pJ).

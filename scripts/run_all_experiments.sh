@@ -10,7 +10,7 @@ BINS=(
   fig12a_speedup fig12b_time_breakdown fig12c_energy fig12d_energy_breakdown
   fig13_scalability int4_mode ablation_ndp
   ldq_compression e2bqm_accuracy ldq_ablation
-  static_vs_dynamic fp8_rounding traffic_analysis timing_crosscheck buffer_sweep memory_patterns precision_energy table8_extended summary
+  static_vs_dynamic fp8_rounding traffic_analysis timing_crosscheck buffer_sweep memory_patterns precision_energy table8_extended fault_sweep summary
 )
 for bin in "${BINS[@]}"; do
   echo "== $bin"
