@@ -262,231 +262,6 @@ impl TimingExecutor {
     }
 }
 
-/// Which engine an instruction occupies in the pipelined model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    Memory,
-    Pe,
-    Squ,
-    Control,
-}
-
-impl TimingExecutor {
-    /// Dependency-aware pipelined execution: instructions are
-    /// list-scheduled onto three engines (memory, PE array, SQU) with
-    /// read-after-write dependencies tracked per memory space. Writes do
-    /// not wait for earlier readers (double buffering hides WAR hazards),
-    /// so loads of the next tile overlap the current tile's compute —
-    /// the schedule real double-buffered hardware achieves.
-    pub fn run_pipelined(&mut self, program: &Program) -> ExecTiming {
-        use cq_isa::Operand;
-        let mut sp = cq_obs::span!("accel", "exec.run_pipelined");
-        if sp.is_recording() {
-            sp.arg("instructions", program.len());
-            cq_obs::counter!("accel.exec.runs").incr();
-            cq_obs::counter!("accel.exec.instructions").add(program.len() as u64);
-        }
-        let mut engine_free = [0u64; 4]; // Memory, Pe, Squ, Control
-        let mut ready = [0u64; 4]; // per MemSpace: last write completion
-        let mut energy = EnergyBreakdown::new();
-        let mut dram_bytes = 0u64;
-        let mut busy = [0u64; 4];
-        let squ_units = self.config.squ_units.max(1) as u64;
-        let freq = self.config.freq_ghz;
-        let space_idx = |s: MemSpace| s as usize;
-
-        let mut finish_max = 0u64;
-        for instr in program {
-            // (engine, duration, reads, writes)
-            let (engine, duration, reads, writes): (Engine, u64, Vec<Operand>, Vec<Operand>) =
-                match *instr {
-                    Instruction::Croset { .. } => (Engine::Control, 1, vec![], vec![]),
-                    Instruction::Vload { dest, src, size }
-                    | Instruction::Vstore { dest, src, size } => {
-                        let bytes = size as u64 * 4;
-                        let d =
-                            self.transfer_cycles(dest, src, bytes, &mut dram_bytes, &mut energy);
-                        (
-                            Engine::Memory,
-                            self.mem.to_clock(d, freq),
-                            vec![src],
-                            vec![dest],
-                        )
-                    }
-                    Instruction::Sload {
-                        dest, src, size, n, ..
-                    }
-                    | Instruction::Sstore {
-                        dest, src, size, n, ..
-                    } => {
-                        let bytes = size as u64 * n as u64 * 4;
-                        let d =
-                            self.transfer_cycles(dest, src, bytes, &mut dram_bytes, &mut energy);
-                        (
-                            Engine::Memory,
-                            self.mem.to_clock(d, freq),
-                            vec![src],
-                            vec![dest],
-                        )
-                    }
-                    Instruction::Qload {
-                        dest,
-                        src,
-                        size,
-                        width,
-                    }
-                    | Instruction::Qstore {
-                        dest,
-                        src,
-                        size,
-                        width,
-                    } => {
-                        let bytes = (size as f64 * self.qbytes(width)).max(1.0) as u64;
-                        let d =
-                            self.transfer_cycles(dest, src, bytes, &mut dram_bytes, &mut energy);
-                        let cost = self.squ.stream_cost(size as u64);
-                        energy.charge(Component::Acc, cost.energy_pj);
-                        let squ = cost.stat_cycles.max(cost.quant_cycles) / squ_units;
-                        (
-                            Engine::Memory,
-                            self.mem.to_clock(d, freq).max(squ),
-                            vec![src],
-                            vec![dest],
-                        )
-                    }
-                    Instruction::Qmove {
-                        dest, src, size, ..
-                    } => {
-                        let cost = self.squ.stream_cost(size as u64);
-                        energy.charge(Component::Acc, cost.energy_pj);
-                        (
-                            Engine::Squ,
-                            cost.stat_cycles.max(cost.quant_cycles) / squ_units,
-                            vec![src],
-                            vec![dest],
-                        )
-                    }
-                    Instruction::Wgstore {
-                        dest, src, size, ..
-                    } => {
-                        let bytes = size as u64 * 4;
-                        let ctrl = self.mem.transfer(0x4000_0000, bytes as usize, Dir::Write);
-                        dram_bytes += bytes;
-                        let e = &self.energy_model;
-                        energy.charge(Component::DdrDynamic, e.dram(bytes as f64));
-                        energy.charge(Component::DdrDynamic, e.dram(size as f64 * 24.0) * 0.25);
-                        energy.charge(
-                            Component::Acc,
-                            size as f64 * 6.0 * (e.fp_mul(32) + e.fp_add(32)) / 2.0,
-                        );
-                        (
-                            Engine::Memory,
-                            self.mem.to_clock(ctrl, freq),
-                            vec![src],
-                            vec![dest],
-                        )
-                    }
-                    Instruction::Mm {
-                        dest,
-                        lsrc,
-                        rsrc,
-                        m,
-                        n,
-                        k,
-                    } => {
-                        let c = self.pe.matmul(m as u64, n as u64, k as u64);
-                        energy.charge(Component::Acc, c.energy_pj);
-                        (Engine::Pe, c.cycles, vec![lsrc, rsrc], vec![dest])
-                    }
-                    Instruction::Conv {
-                        dest,
-                        weight,
-                        src,
-                        batch,
-                        in_channels,
-                        out_channels,
-                        in_hw,
-                        kernel,
-                        stride,
-                        padding,
-                    } => {
-                        let params =
-                            cq_tensor::ops::Conv2dParams::new(stride as usize, padding as usize);
-                        let out_hw = params.output_dim(in_hw as usize, kernel as usize) as u64;
-                        let c = self.pe.conv(
-                            batch as u64 * out_hw * out_hw,
-                            (in_channels * kernel * kernel) as u64,
-                            out_channels as u64,
-                        );
-                        energy.charge(Component::Acc, c.energy_pj);
-                        (Engine::Pe, c.cycles, vec![src, weight], vec![dest])
-                    }
-                    Instruction::Vec {
-                        dest,
-                        src1,
-                        src2,
-                        size,
-                        ..
-                    } => {
-                        let c = self.pe.vector_op(size as u64);
-                        energy.charge(Component::Acc, c.energy_pj);
-                        (Engine::Pe, c.cycles, vec![src1, src2], vec![dest])
-                    }
-                };
-            let mut start = engine_free[engine as usize];
-            for r in &reads {
-                start = start.max(ready[space_idx(r.space)]);
-            }
-            let finish = start + duration;
-            engine_free[engine as usize] = finish;
-            busy[engine as usize] += duration;
-            for w in &writes {
-                ready[space_idx(w.space)] = ready[space_idx(w.space)].max(finish);
-            }
-            finish_max = finish_max.max(finish);
-        }
-        ExecTiming {
-            cycles: finish_max,
-            compute_cycles: busy[Engine::Pe as usize],
-            memory_cycles: busy[Engine::Memory as usize],
-            squ_cycles: busy[Engine::Squ as usize],
-            energy,
-            dram_bytes,
-        }
-    }
-
-    /// Shared transfer charging used by both execution modes: returns
-    /// controller cycles for a DRAM-touching move (0 for on-chip moves).
-    fn transfer_cycles(
-        &mut self,
-        dest: cq_isa::Operand,
-        src: cq_isa::Operand,
-        bytes: u64,
-        dram_bytes: &mut u64,
-        energy: &mut EnergyBreakdown,
-    ) -> u64 {
-        let touches_dram = dest.space == MemSpace::Dram || src.space == MemSpace::Dram;
-        energy.charge(Component::Buf, self.energy_model.sram(bytes as f64));
-        if !touches_dram {
-            return 0;
-        }
-        let dir = if dest.space == MemSpace::Dram {
-            Dir::Write
-        } else {
-            Dir::Read
-        };
-        let addr = if dest.space == MemSpace::Dram {
-            dest.offset
-        } else {
-            src.offset
-        } as u64;
-        let ctrl = self.mem.transfer(addr, bytes as usize, dir);
-        *dram_bytes += bytes;
-        energy.charge(Component::DdrDynamic, self.energy_model.dram(bytes as f64));
-        ctrl
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,58 +415,6 @@ mod tests {
         assert!(t.dram_bytes >= 100_000 * 4);
         assert!(t.dram_bytes <= 100_000 * 9);
         assert!(t.energy.energy_pj(Component::Acc) > 0.0);
-    }
-
-    #[test]
-    fn pipelined_schedule_overlaps_engines() {
-        // A tiled dense layer: pipelined time must be at least the busiest
-        // engine and strictly less than the serial sum of all engines.
-        let config = CqConfig::edge();
-        let p = compile_dense_forward(
-            &config,
-            DenseLayout {
-                input: 0,
-                weight: 512 * 512 * 4,
-                output: 2 * 512 * 512 * 4,
-            },
-            512,
-            512,
-            512,
-        );
-        let t = TimingExecutor::new(config).run_pipelined(&p);
-        let busiest = t.compute_cycles.max(t.memory_cycles).max(t.squ_cycles);
-        let serial = t.compute_cycles + t.memory_cycles + t.squ_cycles;
-        assert!(
-            t.cycles >= busiest,
-            "cycles {} < busiest {busiest}",
-            t.cycles
-        );
-        assert!(
-            t.cycles < serial,
-            "no overlap achieved: {} vs serial {serial}",
-            t.cycles
-        );
-    }
-
-    #[test]
-    fn pipelined_and_aggregate_models_agree_roughly() {
-        let config = CqConfig::edge();
-        let p = compile_dense_forward(
-            &config,
-            DenseLayout {
-                input: 0,
-                weight: 256 * 256 * 4,
-                output: 2 * 256 * 256 * 4,
-            },
-            256,
-            256,
-            256,
-        );
-        let agg = TimingExecutor::new(config.clone()).run(&p);
-        let pipe = TimingExecutor::new(config).run_pipelined(&p);
-        let ratio = pipe.cycles as f64 / agg.cycles as f64;
-        assert!((0.5..2.5).contains(&ratio), "ratio {ratio}");
-        assert_eq!(pipe.dram_bytes, agg.dram_bytes);
     }
 
     #[test]

@@ -157,6 +157,26 @@ impl Machine {
         Ok(start)
     }
 
+    /// Stripe `i` of a strided access to `elems` elements from `base`. The
+    /// address is computed in `u64`, so a stripe past the 32-bit byte
+    /// address space is out of bounds instead of wrapping.
+    fn stripe(
+        &self,
+        base: Operand,
+        stride: u32,
+        i: u64,
+        elems: usize,
+    ) -> Result<Operand, MachineError> {
+        let offset = u64::from(base.offset) + i * u64::from(stride);
+        u32::try_from(offset)
+            .map(|offset| Operand::new(base.space, offset))
+            .map_err(|_| MachineError::OutOfBounds {
+                space: base.space,
+                index: (offset / 4) as usize + elems,
+                capacity: self.space_len(base.space),
+            })
+    }
+
     fn read(&self, op: Operand, elems: usize) -> Result<Vec<f32>, MachineError> {
         let start = self.check(op, elems)?;
         let slice = match op.space {
@@ -223,9 +243,9 @@ impl Machine {
                 size,
                 n,
             } => {
-                for i in 0..n {
-                    let s = Operand::new(src.space, src.offset + i * src_stride);
-                    let d = Operand::new(dest.space, dest.offset + i * dest_stride);
+                for i in 0..u64::from(n) {
+                    let s = self.stripe(src, src_stride, i, size as usize)?;
+                    let d = self.stripe(dest, dest_stride, i, size as usize)?;
                     let vals = self.read(s, size as usize)?;
                     self.write(d, &vals)?;
                 }
@@ -593,6 +613,45 @@ mod tests {
         let err = m.run(&p).unwrap_err();
         assert!(matches!(err, MachineError::OutOfBounds { .. }));
         assert!(err.to_string().contains("dram"));
+    }
+
+    /// A stripe address past `u32::MAX` is an out-of-bounds access, on
+    /// the source side and on the destination side, and the wrapped
+    /// address is never touched.
+    #[test]
+    fn strided_stripe_past_the_address_space_is_out_of_bounds() {
+        let wrapping_source = Instruction::Sload {
+            dest: Operand::nbin(0),
+            src: Operand::dram(16),
+            dest_stride: 16,
+            src_stride: 0xFFFF_FFF8,
+            size: 4,
+            n: 2,
+        };
+        let wrapping_dest = Instruction::Sstore {
+            dest: Operand::dram(64),
+            src: Operand::nbout(0),
+            dest_stride: 0xFFFF_FFC0,
+            src_stride: 16,
+            size: 4,
+            n: 2,
+        };
+        for instr in [wrapping_source, wrapping_dest] {
+            let mut m = Machine::new(CqConfig::edge(), 64);
+            m.dram_mut()[..4].fill(7.0);
+            let err = m.execute(&instr).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MachineError::OutOfBounds {
+                        space: MemSpace::Dram,
+                        ..
+                    }
+                ),
+                "{instr}: {err}"
+            );
+            assert_eq!(&m.dram()[..4], &[7.0; 4], "{instr}");
+        }
     }
 
     #[test]

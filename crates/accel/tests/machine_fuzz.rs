@@ -1,5 +1,6 @@
 //! Fuzz-style property tests for the functional machine: programs built
-//! from in-bounds operands always execute without panicking, and the
+//! from in-bounds operands always execute without panicking, strided
+//! accesses anywhere in the address space never panic, and the
 //! executor's costs are internally consistent.
 
 use cq_accel::{CqConfig, Machine, TimingExecutor};
@@ -51,8 +52,72 @@ fn small_instruction() -> impl Strategy<Value = Instruction> {
     ]
 }
 
+/// A byte offset: in bounds of the test memories, or anywhere in the
+/// 32-bit space.
+fn offset() -> impl Strategy<Value = u32> {
+    prop_oneof![0..BUF_ELEMS * 4, any::<u32>()]
+}
+
+/// A byte stride: small, small and negative in two's complement (so a
+/// stripe wraps past `u32::MAX` onto a low address), or anywhere.
+fn stride() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0..BUF_ELEMS * 4,
+        (1..BUF_ELEMS * 4).prop_map(u32::wrapping_neg),
+        any::<u32>()
+    ]
+}
+
+fn operand_anywhere() -> impl Strategy<Value = Operand> {
+    (0usize..4, offset()).prop_map(|(s, offset)| Operand::new(MemSpace::ALL[s], offset))
+}
+
+/// SLOAD/SSTORE with arbitrary offsets and strides and a few stripes.
+fn strided_instruction() -> impl Strategy<Value = Instruction> {
+    (
+        any::<bool>(),
+        operand_anywhere(),
+        operand_anywhere(),
+        stride(),
+        stride(),
+        0u32..64,
+        0u32..4,
+    )
+        .prop_map(|(load, dest, src, dest_stride, src_stride, size, n)| {
+            if load {
+                Instruction::Sload {
+                    dest,
+                    src,
+                    dest_stride,
+                    src_stride,
+                    size,
+                    n,
+                }
+            } else {
+                Instruction::Sstore {
+                    dest,
+                    src,
+                    dest_stride,
+                    src_stride,
+                    size,
+                    n,
+                }
+            }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Strided accesses anywhere in the address space execute or return a
+    /// typed error; none panics or wraps around.
+    #[test]
+    fn strided_accesses_never_panic(instrs in prop::collection::vec(strided_instruction(), 1..16)) {
+        let mut m = Machine::new(CqConfig::edge(), DRAM_ELEMS as usize);
+        for i in &instrs {
+            let _ = m.execute(i);
+        }
+    }
 
     /// In-bounds programs execute to completion on the functional machine.
     #[test]
@@ -71,10 +136,6 @@ proptest! {
         let t = TimingExecutor::new(CqConfig::edge()).run(&p);
         let busiest = t.compute_cycles.max(t.memory_cycles).max(t.squ_cycles);
         prop_assert!(t.cycles >= busiest);
-        let tp = TimingExecutor::new(CqConfig::edge()).run_pipelined(&p);
-        let serial = tp.compute_cycles + tp.memory_cycles + tp.squ_cycles + p.len() as u64;
-        prop_assert!(tp.cycles <= serial + 1000);
-        prop_assert_eq!(t.dram_bytes, tp.dram_bytes);
     }
 
     /// Functional execution is deterministic: the same program on the

@@ -86,6 +86,26 @@ mod tests {
         }
     }
 
+    /// Pins every network's forward cycles under both models to the
+    /// committed `reports/timing_crosscheck.txt`.
+    #[test]
+    fn forward_rows_match_the_committed_report() {
+        let rows: Vec<_> = run_crosscheck()
+            .into_iter()
+            .map(|r| (r.network, r.analytical, r.executor))
+            .collect();
+        let committed = [
+            ("AlexNet", 39_578_620, 38_922_639),
+            ("ResNet-18", 57_728_399, 57_350_701),
+            ("GoogLeNet", 55_491_519, 53_613_485),
+            ("SqueezeNet", 33_930_109, 29_595_557),
+            ("Transformer", 19_128_320, 19_138_757),
+            ("LSTM", 462_069_400, 463_873_983),
+        ]
+        .map(|(network, analytical, executor)| (network.to_string(), analytical, executor));
+        assert_eq!(rows, committed);
+    }
+
     #[test]
     fn table_renders() {
         let rows = run_crosscheck();

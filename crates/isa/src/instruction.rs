@@ -16,7 +16,7 @@ pub enum MemSpace {
 }
 
 impl MemSpace {
-    /// All spaces, in encoding order.
+    /// All spaces.
     pub const ALL: [MemSpace; 4] = [
         MemSpace::Dram,
         MemSpace::NBin,
@@ -99,7 +99,7 @@ pub enum QuantWidth {
 }
 
 impl QuantWidth {
-    /// All widths in encoding order.
+    /// All widths, narrowest first.
     pub const ALL: [QuantWidth; 4] = [
         QuantWidth::W4,
         QuantWidth::W8,
@@ -149,7 +149,7 @@ pub enum VecOp {
 }
 
 impl VecOp {
-    /// All vector ops in encoding order.
+    /// All vector ops.
     pub const ALL: [VecOp; 9] = [
         VecOp::Add,
         VecOp::Sub,
@@ -372,41 +372,11 @@ impl Instruction {
         }
     }
 
-    /// Whether the instruction moves data between DRAM and on-chip buffers.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Vload { .. }
-                | Instruction::Vstore { .. }
-                | Instruction::Sload { .. }
-                | Instruction::Sstore { .. }
-                | Instruction::Qload { .. }
-                | Instruction::Qstore { .. }
-                | Instruction::Wgstore { .. }
-        )
-    }
-
-    /// Whether the instruction runs on the PE array / SFU.
-    pub fn is_compute(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Mm { .. } | Instruction::Conv { .. } | Instruction::Vec { .. }
-        )
-    }
-
     /// Whether the instruction engages the SQU (on-the-fly quantization).
     pub fn uses_squ(&self) -> bool {
         matches!(
             self,
             Instruction::Qload { .. } | Instruction::Qstore { .. } | Instruction::Qmove { .. }
-        )
-    }
-
-    /// Whether the instruction engages the NDP engine.
-    pub fn uses_ndp(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Wgstore { .. } | Instruction::Croset { .. } | Instruction::Qload { .. }
         )
     }
 }
@@ -533,9 +503,7 @@ mod tests {
             size: 64,
             width: QuantWidth::W8,
         };
-        assert!(q.is_memory());
         assert!(q.uses_squ());
-        assert!(!q.is_compute());
         let mm = Instruction::Mm {
             dest: Operand::nbout(0),
             lsrc: Operand::nbin(0),
@@ -544,28 +512,144 @@ mod tests {
             n: 1,
             k: 1,
         };
-        assert!(mm.is_compute());
-        assert!(!mm.is_memory());
-        let wg = Instruction::Wgstore {
-            dest: Operand::dram(0),
-            dest2: Operand::dram(4),
-            dest3: Operand::dram(8),
-            src: Operand::nbout(0),
-            size: 1,
-        };
-        assert!(wg.uses_ndp());
+        assert!(!mm.uses_squ());
     }
 
+    /// The exact Table V text of one instance of each of the 12 forms,
+    /// plus a non-finite `CROSET` immediate, which prints its raw bits.
     #[test]
     fn disassembly() {
-        let i = Instruction::Qload {
-            dest: Operand::nbin(0),
-            src: Operand::dram(256),
-            size: 1024,
-            width: QuantWidth::W8,
-        };
-        assert_eq!(i.to_string(), "QLOAD.i8 nbin[0x0], dram[0x100], 1024");
-        assert_eq!(i.mnemonic(), "QLOAD");
+        let cases = [
+            (
+                Instruction::Croset {
+                    creg: 2,
+                    imm: 0.9f32.to_bits(),
+                },
+                "CROSET c2, 0.9",
+            ),
+            (
+                Instruction::Croset {
+                    creg: 0,
+                    imm: 0x7f80_0001,
+                },
+                "CROSET c0, bits:0x7f800001",
+            ),
+            (
+                Instruction::Vload {
+                    dest: Operand::nbin(0),
+                    src: Operand::dram(0x1000),
+                    size: 4096,
+                },
+                "VLOAD nbin[0x0], dram[0x1000], 4096",
+            ),
+            (
+                Instruction::Vstore {
+                    dest: Operand::dram(0x40),
+                    src: Operand::nbout(0x10),
+                    size: 16,
+                },
+                "VSTORE dram[0x40], nbout[0x10], 16",
+            ),
+            (
+                Instruction::Sload {
+                    dest: Operand::nbin(0),
+                    src: Operand::dram(0x100),
+                    dest_stride: 64,
+                    src_stride: 256,
+                    size: 16,
+                    n: 4,
+                },
+                "SLOAD nbin[0x0], dram[0x100], 64, 256, 16, 4",
+            ),
+            (
+                Instruction::Sstore {
+                    dest: Operand::dram(0x200),
+                    src: Operand::nbout(0),
+                    dest_stride: 512,
+                    src_stride: 128,
+                    size: 32,
+                    n: 8,
+                },
+                "SSTORE dram[0x200], nbout[0x0], 512, 128, 32, 8",
+            ),
+            (
+                Instruction::Qload {
+                    dest: Operand::nbin(0),
+                    src: Operand::dram(256),
+                    size: 1024,
+                    width: QuantWidth::W8,
+                },
+                "QLOAD.i8 nbin[0x0], dram[0x100], 1024",
+            ),
+            (
+                Instruction::Qstore {
+                    dest: Operand::dram(0x800),
+                    src: Operand::nbout(0),
+                    size: 256,
+                    width: QuantWidth::W16,
+                },
+                "QSTORE.i16 dram[0x800], nbout[0x0], 256",
+            ),
+            (
+                Instruction::Qmove {
+                    dest: Operand::sb(0x20),
+                    src: Operand::nbin(0),
+                    size: 64,
+                    width: QuantWidth::W4,
+                },
+                "QMOVE.i4 sb[0x20], nbin[0x0], 64",
+            ),
+            (
+                Instruction::Wgstore {
+                    dest: Operand::dram(0),
+                    dest2: Operand::dram(0x1000),
+                    dest3: Operand::dram(0x2000),
+                    src: Operand::nbout(0),
+                    size: 1024,
+                },
+                "WGSTORE dram[0x0], dram[0x1000], dram[0x2000], nbout[0x0], 1024",
+            ),
+            (
+                Instruction::Mm {
+                    dest: Operand::nbout(0),
+                    lsrc: Operand::nbin(0),
+                    rsrc: Operand::sb(0),
+                    m: 64,
+                    n: 32,
+                    k: 128,
+                },
+                "MM nbout[0x0], nbin[0x0], sb[0x0], 64, 32, 128",
+            ),
+            (
+                Instruction::Conv {
+                    dest: Operand::nbout(0),
+                    weight: Operand::sb(0),
+                    src: Operand::nbin(0),
+                    batch: 2,
+                    in_channels: 3,
+                    out_channels: 16,
+                    in_hw: 32,
+                    kernel: 3,
+                    stride: 1,
+                    padding: 1,
+                },
+                "CONV nbout[0x0], sb[0x0], nbin[0x0], n=2, c=3, f=16, hw=32, k=3, s=1, p=1",
+            ),
+            (
+                Instruction::Vec {
+                    op: VecOp::Add,
+                    dest: Operand::nbout(0x40),
+                    src1: Operand::nbin(0),
+                    src2: Operand::sb(0x8),
+                    size: 8,
+                },
+                "VADD nbout[0x40], nbin[0x0], sb[0x8], 8",
+            ),
+        ];
+        for (i, text) in cases {
+            assert_eq!(i.to_string(), text);
+            assert!(text.starts_with(i.mnemonic()), "{text}");
+        }
     }
 
     #[test]
@@ -575,7 +659,6 @@ mod tests {
             imm: 0.9f32.to_bits(),
         };
         assert!(i.to_string().contains("0.9"));
-        assert!(i.uses_ndp());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! * `WGSTORE` — store weight gradients to memory *and* trigger the
 //!   in-place optimizer update near DRAM.
 //!
-//! This crate defines the [`Instruction`] enum, a binary encoder/decoder,
-//! a disassembler (`Display`), and the [`Program`] container used by the
-//! layer compiler in `cq-accel`.
+//! This crate defines the [`Instruction`] enum, a disassembler
+//! (`Display`), and the [`Program`] container used by the layer compiler
+//! in `cq-accel`.
 //!
 //! # Examples
 //!
@@ -27,20 +27,14 @@
 //!     src: Operand::new(MemSpace::Dram, 0x1000),
 //!     size: 4096,
 //! });
-//! let bytes = p.encode();
-//! let back = Program::decode(&bytes)?;
-//! assert_eq!(p, back);
-//! # Ok::<(), cq_isa::IsaError>(())
+//! assert_eq!(p.disassemble(), "VLOAD nbin[0x0], dram[0x1000], 4096");
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod asm;
-mod encode;
 mod instruction;
 mod program;
 
-pub use encode::{decode_at, encode_into, IsaError};
 pub use instruction::{Instruction, MemSpace, Operand, QuantWidth, VecOp};
 pub use program::Program;

@@ -1,6 +1,7 @@
-//! Property tests: every encodable instruction decodes back to itself.
+//! Property tests over arbitrary instructions: every one disassembles to
+//! non-empty text.
 
-use cq_isa::{Instruction, MemSpace, Operand, Program, QuantWidth, VecOp};
+use cq_isa::{Instruction, MemSpace, Operand, QuantWidth, VecOp};
 use proptest::prelude::*;
 
 fn operand() -> impl Strategy<Value = Operand> {
@@ -101,51 +102,8 @@ fn instruction() -> impl Strategy<Value = Instruction> {
 
 proptest! {
     #[test]
-    fn single_instruction_roundtrip(instr in instruction()) {
-        let mut bytes = Vec::new();
-        cq_isa::encode_into(&instr, &mut bytes);
-        let (decoded, used) = cq_isa::decode_at(&bytes, 0).unwrap();
-        prop_assert_eq!(decoded, instr);
-        prop_assert_eq!(used, bytes.len());
-    }
-
-    #[test]
-    fn program_roundtrip(instrs in prop::collection::vec(instruction(), 0..40)) {
-        let p: Program = instrs.into_iter().collect();
-        let back = Program::decode(&p.encode()).unwrap();
-        prop_assert_eq!(back, p);
-    }
-
-    #[test]
     fn disassembly_is_nonempty_per_instruction(instr in instruction()) {
         prop_assert!(!instr.to_string().is_empty());
         prop_assert!(!instr.mnemonic().is_empty());
-    }
-
-    /// Decoding arbitrary bytes never panics — it either parses or errors.
-    #[test]
-    fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Program::decode(&bytes);
-    }
-}
-
-proptest! {
-    /// Text round-trip: disassembling any instruction and parsing it back
-    /// yields the identical instruction.
-    #[test]
-    fn disassembly_text_roundtrip(instr in instruction()) {
-        let text = instr.to_string();
-        let parsed = cq_isa::asm::parse_instruction(&text, 1)
-            .unwrap_or_else(|e| panic!("failed to parse `{text}`: {e}"));
-        prop_assert_eq!(parsed, instr);
-    }
-
-    /// Whole-program text round-trip through the assembler.
-    #[test]
-    fn program_text_roundtrip(instrs in prop::collection::vec(instruction(), 0..30)) {
-        let p: Program = instrs.into_iter().collect();
-        let text = p.disassemble();
-        let back = cq_isa::asm::assemble(&text).unwrap();
-        prop_assert_eq!(back, p);
     }
 }

@@ -39,7 +39,6 @@ pub mod algorithms;
 pub mod e2bqm;
 pub mod fast;
 pub mod format;
-pub mod groupwise;
 pub mod guard;
 pub mod intdomain;
 pub mod ldq;
@@ -50,7 +49,6 @@ pub use algorithms::{QuantScheme, TrainingQuantizer, WeightUpdatePrecision};
 pub use e2bqm::{CandidateStrategy, E2bqmQuantizer, E2bqmSelection, ErrorEstimator};
 pub use fast::QuantScratch;
 pub use format::{IntFormat, QuantParams};
-pub use groupwise::GroupQuantized;
 pub use guard::{DegradeEvent, GuardAction, GuardedQuantizer, QuantAnomaly};
 pub use intdomain::{IntDomainQuantizer, IntDomainScratch, IntSelection};
 pub use ldq::{LdqConfig, LdqTensor};
