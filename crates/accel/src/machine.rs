@@ -33,8 +33,8 @@ pub enum MachineError {
         /// The space's capacity in elements.
         capacity: usize,
     },
-    /// The instruction is not supported by the functional model.
-    Unsupported(&'static str),
+    /// A `CONV` instruction has stride 0, which places no output window.
+    ZeroStride,
 }
 
 impl fmt::Display for MachineError {
@@ -45,9 +45,7 @@ impl fmt::Display for MachineError {
                 index,
                 capacity,
             } => write!(f, "{space} access at element {index} exceeds {capacity}"),
-            MachineError::Unsupported(what) => {
-                write!(f, "functional model does not implement {what}")
-            }
+            MachineError::ZeroStride => f.write_str("CONV with stride 0 has no output window"),
         }
     }
 }
@@ -216,7 +214,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError`] on bad accesses or unsupported operations.
+    /// Returns [`MachineError`] on bad accesses, and
+    /// [`MachineError::ZeroStride`] for a `CONV` with stride 0.
     pub fn execute(&mut self, instr: &Instruction) -> Result<(), MachineError> {
         self.stats.instructions += 1;
         match *instr {
@@ -312,6 +311,9 @@ impl Machine {
                 stride,
                 padding,
             } => {
+                if stride == 0 {
+                    return Err(MachineError::ZeroStride);
+                }
                 let (n, c, f, hw, k) = (
                     batch as usize,
                     in_channels as usize,
@@ -698,5 +700,25 @@ mod tests {
         // Corner outputs see a 2x2 window = 4.
         assert_eq!(m.dram()[32], 4.0);
         assert_eq!(stats.macs, (16 * 9) as u64);
+    }
+
+    #[test]
+    fn conv_with_stride_zero_is_a_typed_error() {
+        let mut m = machine();
+        let conv = Instruction::Conv {
+            dest: Operand::nbout(0),
+            weight: Operand::sb(0),
+            src: Operand::nbin(0),
+            batch: 1,
+            in_channels: 1,
+            out_channels: 1,
+            in_hw: 4,
+            kernel: 3,
+            stride: 0,
+            padding: 1,
+        };
+        let err = m.execute(&conv).unwrap_err();
+        assert_eq!(err, MachineError::ZeroStride);
+        assert_eq!(err.to_string(), "CONV with stride 0 has no output window");
     }
 }

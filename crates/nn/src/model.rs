@@ -1,7 +1,7 @@
 //! The [`Sequential`] model container and single-step training driver.
 
 use crate::error::NnError;
-use crate::layers::{Layer, MaxPool2d, QuantCtx, Relu};
+use crate::layers::{Conv2d, Layer, MaxPool2d, QuantCtx, Relu};
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::optim::Optimizer;
 use cq_tensor::Tensor;
@@ -27,11 +27,14 @@ use std::fmt;
 /// ```
 #[derive(Debug, Default)]
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
-    /// Whether the last layer added is a [`Relu`] that a following
-    /// [`MaxPool2d`] may absorb.
-    last_is_relu: bool,
+    layers: Vec<Box<dyn AnyLayer>>,
 }
+
+/// A [`Layer`] that [`Sequential::add`] can also look at as [`Any`], to
+/// find the layer types it fuses after they are boxed.
+trait AnyLayer: Layer + Any {}
+
+impl<T: Layer + Any> AnyLayer for T {}
 
 /// Metrics of one training step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,17 +58,31 @@ impl Sequential {
     /// traced (as `relu+maxpool2d`) and counted as one layer. Outputs and
     /// gradients are bitwise those of the two layers; the pair just skips
     /// the ReLU's own pass over memory and its mask.
+    ///
+    /// A [`MaxPool2d`] that then sits right after a [`Conv2d`] also
+    /// quantizes the conv's ∂y while it writes it, on the fast backend
+    /// with an HQT scheme, and the conv skips its own pass over the ∂y.
+    /// The gradients are bitwise the same.
     pub fn add(&mut self, mut layer: impl Layer + 'static) -> &mut Self {
         let incoming: &mut dyn Any = &mut layer;
-        if self.last_is_relu {
-            if let Some(pool) = incoming.downcast_mut::<MaxPool2d>() {
+        if let Some(pool) = incoming.downcast_mut::<MaxPool2d>() {
+            if self.last_mut::<Relu>().is_some() {
                 pool.absorb_relu();
                 self.layers.pop();
             }
+            if let Some(conv) = self.last_mut::<Conv2d>() {
+                conv.feed_pool();
+                pool.follow_conv();
+            }
         }
-        self.last_is_relu = (&layer as &dyn Any).is::<Relu>();
         self.layers.push(Box::new(layer));
         self
+    }
+
+    /// The last layer, if it is a `T`.
+    fn last_mut<T: Any>(&mut self) -> Option<&mut T> {
+        let last: &mut dyn Any = self.layers.last_mut()?.as_mut();
+        last.downcast_mut()
     }
 
     /// Number of layers; a ReLU absorbed by the max-pool after it does
@@ -88,34 +105,37 @@ impl Sequential {
             .sum()
     }
 
-    /// Forward pass through every layer.
+    /// Forward pass through every layer. The first layer reads `x`
+    /// itself; an empty model returns a copy of it.
     ///
     /// # Errors
     ///
     /// Propagates the first layer error.
     pub fn forward(&mut self, x: &Tensor, ctx: &QuantCtx) -> Result<Tensor, NnError> {
         let _sp = cq_obs::span!("nn", "forward");
-        let mut cur = x.clone();
+        let mut cur: Option<Tensor> = None;
         for layer in &mut self.layers {
             let _layer_sp = cq_obs::span!("nn.layer", "{}:FW", layer.name());
-            cur = layer.forward(&cur, ctx)?;
+            cur = Some(layer.forward(cur.as_ref().unwrap_or(x), ctx)?);
         }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| x.clone()))
     }
 
     /// Backward pass from the loss gradient; accumulates parameter grads.
+    /// The last layer reads `grad` itself; an empty model returns a copy
+    /// of it.
     ///
     /// # Errors
     ///
     /// Propagates layer errors (e.g. backward before forward).
     pub fn backward(&mut self, grad: &Tensor, ctx: &QuantCtx) -> Result<Tensor, NnError> {
         let _sp = cq_obs::span!("nn", "backward");
-        let mut cur = grad.clone();
+        let mut cur: Option<Tensor> = None;
         for layer in self.layers.iter_mut().rev() {
             let _layer_sp = cq_obs::span!("nn.layer", "{}:BW", layer.name());
-            cur = layer.backward(&cur, ctx)?;
+            cur = Some(layer.backward(cur.as_ref().unwrap_or(grad), ctx)?);
         }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| grad.clone()))
     }
 
     /// Clears all accumulated gradients.
@@ -303,6 +323,15 @@ mod tests {
         let stats = model.grad_max_abs();
         assert_eq!(stats.len(), 1); // relu has no params
         assert_eq!(stats[0].0, "first");
+    }
+
+    #[test]
+    fn empty_model_returns_a_copy_of_its_input() {
+        let mut model = Sequential::new();
+        let x = init::normal(&[3, 4], 0.0, 1.0, 2);
+        let ctx = QuantCtx::fp32();
+        assert_eq!(model.forward(&x, &ctx).unwrap(), x);
+        assert_eq!(model.backward(&x, &ctx).unwrap(), x);
     }
 
     #[test]

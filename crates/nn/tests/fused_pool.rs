@@ -10,8 +10,8 @@ use cq_nn::{
     Adam, Conv2d, Dense, Flatten, Layer, MaxPool2d, NnError, Optimizer, Param, QuantCtx, QuantPath,
     Relu, Sequential,
 };
-use cq_quant::TrainingQuantizer;
-use cq_tensor::{init, ops, Tensor};
+use cq_quant::{IntFormat, TrainingQuantizer};
+use cq_tensor::{init, ops, Backend, Tensor};
 use proptest::prelude::*;
 
 /// Inputs and gradients: ties, signed zeros, ±∞, NaN and subnormals
@@ -305,67 +305,106 @@ fn only_a_relu_right_before_a_pool_is_absorbed() {
     );
 }
 
-/// The bench-CNN's layers at a small size, with seeded weights.
-fn cnn_layers() -> Vec<Box<dyn Layer>> {
-    vec![
-        Box::new(Conv2d::new("conv1", 3, 4, 3, 1, 1, 11)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Flatten::new()),
-        Box::new(Dense::new("fc", 4 * 5 * 4, 5, 12)),
-    ]
+/// The bench-CNN's layers at a small size, with seeded weights, with or
+/// without the ReLU before the pool.
+fn cnn_layers(relu: bool) -> Vec<Box<dyn Layer>> {
+    let mut layers: Vec<Box<dyn Layer>> = vec![Box::new(Conv2d::new("conv1", 3, 4, 3, 1, 1, 11))];
+    if relu {
+        layers.push(Box::new(Relu::new()));
+    }
+    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(Box::new(Flatten::new()));
+    layers.push(Box::new(Dense::new("fc", 4 * 5 * 4, 5, 12)));
+    layers
 }
 
 fn params(layers: &mut [Box<dyn Layer>]) -> Vec<&mut Param> {
     layers.iter_mut().flat_map(|l| l.params_mut()).collect()
 }
 
+/// `Sequential` fuses the ReLU into the pool, and the pool quantizes the
+/// conv's ∂y where the context allows it; the same layers stepped one by
+/// one do neither. The conv's output planes are 10×9: `w` is not a
+/// multiple of the window, and the HQT blocks (1024, 256 and 100
+/// elements) straddle the 90-element planes, the last one ragged. The
+/// contexts cover the schemes the pool quantizes for and those it leaves
+/// to the conv (layer-wise, MiniFp, the naive backend).
 #[test]
 fn bench_cnn_steps_equal_the_unfused_layers_stepped_by_hand() {
     let x = init::normal(&[4, 3, 10, 9], 0.0, 1.0, 13);
     let labels = [0usize, 3, 1, 4];
-    let contexts: [fn() -> QuantCtx; 2] = [
-        || QuantCtx::fp32(),
-        || QuantCtx::new(TrainingQuantizer::zhang2020_hqt()).with_path(QuantPath::Int8),
+    let f32_path = |q| QuantCtx::new(q).with_path(QuantPath::Fp32);
+    let int8_path = |q| QuantCtx::new(q).with_path(QuantPath::Int8);
+    let contexts = [
+        ("fp32", QuantCtx::fp32()),
+        (
+            "zhang2020_hqt",
+            f32_path(TrainingQuantizer::zhang2020_hqt()),
+        ),
+        (
+            "zhang2020_hqt int8",
+            int8_path(TrainingQuantizer::zhang2020_hqt()),
+        ),
+        ("zhu2019_hqt", f32_path(TrainingQuantizer::zhu2019_hqt())),
+        ("zhong2020", f32_path(TrainingQuantizer::zhong2020())),
+        (
+            "ldq_only",
+            f32_path(TrainingQuantizer::ldq_only(100, IntFormat::Int8)),
+        ),
+        ("zhu2019", f32_path(TrainingQuantizer::zhu2019())),
+        ("wang2018", f32_path(TrainingQuantizer::wang2018(5))),
+        (
+            "zhang2020_hqt naive",
+            f32_path(TrainingQuantizer::zhang2020_hqt()).with_backend(Backend::Naive),
+        ),
     ];
-    for make_ctx in contexts {
-        let mut model = Sequential::new();
-        model
-            .add(Conv2d::new("conv1", 3, 4, 3, 1, 1, 11))
-            .add(Relu::new())
-            .add(MaxPool2d::new(2))
-            .add(Flatten::new())
-            .add(Dense::new("fc", 4 * 5 * 4, 5, 12));
-        assert_eq!(model.len(), 4);
-        let mut layers = cnn_layers();
-        let (ctx_a, ctx_b) = (make_ctx(), make_ctx());
-        let (mut opt_a, mut opt_b) = (Adam::with_defaults(1e-2), Adam::with_defaults(1e-2));
-        for step in 0..3 {
-            let loss_a = model
-                .train_step(&x, &labels, &mut opt_a, &ctx_a)
-                .unwrap()
-                .loss;
+    for relu in [true, false] {
+        for (name, ctx) in &contexts {
+            let mut model = Sequential::new();
+            model.add(Conv2d::new("conv1", 3, 4, 3, 1, 1, 11));
+            if relu {
+                model.add(Relu::new());
+            }
+            model
+                .add(MaxPool2d::new(2))
+                .add(Flatten::new())
+                .add(Dense::new("fc", 4 * 5 * 4, 5, 12));
+            assert_eq!(model.len(), 4, "{name}");
+            let mut layers = cnn_layers(relu);
+            // Clones start with empty scratch arenas.
+            let (ctx_a, ctx_b) = (ctx.clone(), ctx.clone());
+            let (mut opt_a, mut opt_b) = (Adam::with_defaults(1e-2), Adam::with_defaults(1e-2));
+            for step in 0..3 {
+                let loss_a = model
+                    .train_step(&x, &labels, &mut opt_a, &ctx_a)
+                    .unwrap()
+                    .loss;
 
-            for p in params(&mut layers) {
-                p.zero_grad();
-            }
-            let mut cur = x.clone();
-            for layer in &mut layers {
-                cur = layer.forward(&cur, &ctx_b).unwrap();
-            }
-            let out = softmax_cross_entropy(&cur, &labels).unwrap();
-            let mut g = out.grad;
-            for layer in layers.iter_mut().rev() {
-                g = layer.backward(&g, &ctx_b).unwrap();
-            }
-            opt_b.step(&mut params(&mut layers));
+                for p in params(&mut layers) {
+                    p.zero_grad();
+                }
+                let mut cur = x.clone();
+                for layer in &mut layers {
+                    cur = layer.forward(&cur, &ctx_b).unwrap();
+                }
+                let out = softmax_cross_entropy(&cur, &labels).unwrap();
+                let mut g = out.grad;
+                for layer in layers.iter_mut().rev() {
+                    g = layer.backward(&g, &ctx_b).unwrap();
+                }
+                opt_b.step(&mut params(&mut layers));
 
-            assert_eq!(loss_a.to_bits(), out.loss.to_bits(), "step {step}");
+                assert_eq!(
+                    loss_a.to_bits(),
+                    out.loss.to_bits(),
+                    "{name}, relu {relu}, step {step}"
+                );
+            }
+            let fused_params: Vec<Vec<u32>> =
+                model.params_mut().iter().map(|p| bits(&p.value)).collect();
+            let hand_params: Vec<Vec<u32>> =
+                params(&mut layers).iter().map(|p| bits(&p.value)).collect();
+            assert_eq!(fused_params, hand_params, "{name}, relu {relu}");
         }
-        let fused_params: Vec<Vec<u32>> =
-            model.params_mut().iter().map(|p| bits(&p.value)).collect();
-        let hand_params: Vec<Vec<u32>> =
-            params(&mut layers).iter().map(|p| bits(&p.value)).collect();
-        assert_eq!(fused_params, hand_params);
     }
 }

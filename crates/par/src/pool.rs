@@ -171,7 +171,8 @@ impl Pool {
     /// `f(first_row, band)` on each band in parallel.
     ///
     /// This is the safe backbone of the GEMM row partitioning: each worker
-    /// gets exclusive `&mut` access to its band.
+    /// gets exclusive `&mut` access to its band. The first band runs on
+    /// the calling thread, as in [`Pool::parallel_for`].
     ///
     /// # Panics
     ///
@@ -203,13 +204,14 @@ impl Pool {
         }
         std::thread::scope(|s| {
             let f = &f;
-            let mut rest = data;
-            for r in &ranges {
+            let (first, mut rest) = data.split_at_mut(ranges[0].len() * row_width);
+            for r in &ranges[1..] {
                 let (band, tail) = rest.split_at_mut(r.len() * row_width);
                 rest = tail;
                 let first_row = r.start;
                 s.spawn(move || f(first_row, band));
             }
+            f(0, first);
         });
     }
 
@@ -225,7 +227,8 @@ impl Pool {
     /// Band boundaries depend only on `(data.len(), block_len, min_blocks,
     /// threads)` and every block is processed by exactly one worker, so
     /// callers whose per-block work is a pure function of the block get
-    /// results independent of the worker count.
+    /// results independent of the worker count. The first band runs on
+    /// the calling thread.
     ///
     /// # Panics
     ///
@@ -261,15 +264,18 @@ impl Pool {
         }
         std::thread::scope(|s| {
             let f = &f;
-            let mut rest = data;
-            for r in &ranges {
-                // Only the final band can be ragged; `min` absorbs it.
+            // Only the final band can be ragged, and there are at least
+            // two: the first is whole.
+            let (first, mut rest) = data.split_at_mut(ranges[0].len() * block_len);
+            for r in &ranges[1..] {
+                // `min` absorbs the ragged final band.
                 let band_elems = (r.len() * block_len).min(rest.len());
                 let (band, tail) = rest.split_at_mut(band_elems);
                 rest = tail;
                 let first_block = r.start;
                 s.spawn(move || f(first_block, band));
             }
+            f(0, first);
         });
     }
 }
@@ -470,6 +476,25 @@ mod tests {
             assert_eq!(first, 0);
             assert_eq!(band.len(), 3);
         });
+    }
+
+    #[test]
+    fn band_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let pool = Pool::new(4);
+        let threads = std::sync::Mutex::new(Vec::new());
+        let record = |first: usize| {
+            let id = std::thread::current().id();
+            threads.lock().unwrap().push((first, id));
+        };
+        pool.parallel_row_chunks(&mut [0u8; 40], 2, 1, |first_row, _| record(first_row));
+        pool.parallel_block_chunks(&mut [0u8; 43], 4, 1, |first_block, _| record(first_block));
+        let threads = threads.into_inner().unwrap();
+        // Four bands each, one of them band 0.
+        assert_eq!(threads.len(), 8);
+        for (first, id) in threads {
+            assert_eq!(first == 0, id == caller, "band starting at {first}");
+        }
     }
 
     #[test]

@@ -331,7 +331,7 @@ impl E2bqmQuantizer {
     fn quantize_block_fused(&self, x: &[f32], scratch: &mut QuantScratch) -> E2bqmSelection {
         let theta = fast::block_theta(x);
         self.candidate_params_into(theta, &mut scratch.params);
-        let way = fast::eval_candidates_shared(x, self.estimator, scratch);
+        let way = fast::eval_candidates_shared(x, x.len(), self.estimator, scratch);
         let mut codes = Vec::with_capacity(x.len());
         fast::quantize_codes_into(x, scratch.params[way], &mut codes);
         let selected = QuantizedTensor::from_codes(codes, scratch.params[way], &[x.len()]);

@@ -283,6 +283,61 @@ proptest! {
     }
 }
 
+/// [`TrainingQuantizer::fake_quantize_nonzeros`] over every block of `t`,
+/// as a max-pool backward drives it: each block's nonzero elements in
+/// ascending order and the block's length, the results scattered into a
+/// +0 tensor.
+fn quantize_from_nonzeros(q: &TrainingQuantizer, t: &Tensor, block: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; t.len()];
+    let mut scratch = QuantScratch::new();
+    let mut nonzeros = Vec::new();
+    for (xb, ob) in t.data().chunks(block).zip(out.chunks_mut(block)) {
+        nonzeros.clear();
+        nonzeros.extend(xb.iter().copied().filter(|&v| v != 0.0));
+        q.fake_quantize_nonzeros(&mut nonzeros, xb.len(), &mut scratch);
+        let at = xb.iter().enumerate().filter(|(_, &v)| v != 0.0);
+        for ((i, _), &v) in at.zip(&nonzeros) {
+            ob[i] = v;
+        }
+    }
+    out
+}
+
+proptest! {
+    // 120 tensors × 13 quantizers.
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// An HQT block quantized from its nonzero elements and its length is
+    /// bitwise the naive fake-quantization of the dense block, +0 at
+    /// every ±0 included: for every estimator × candidate strategy pair
+    /// and for LDQ alone, on gradient-shaped tensors with edge values,
+    /// ragged final blocks and all-zero blocks.
+    #[test]
+    fn nonzeros_entry_matches_naive_dense_blocks(
+        t in sparse_tensor_strategy(2600),
+        block in 1usize..1100,
+        ways in 1usize..6,
+        format in any_format(),
+    ) {
+        let mut schemes = vec![None];
+        for strategy in STRATEGIES {
+            for estimator in ESTIMATORS {
+                schemes.push(Some(E2bqmQuantizer::new(ways, strategy, estimator, format)));
+            }
+        }
+        for multiplex in schemes {
+            let scheme = QuantScheme::Hqt { block_size: block, format, multiplex };
+            let q = TrainingQuantizer::new("nonzeros", scheme);
+            prop_assert_eq!(
+                bits(q.fake_quantize_naive(&t).data()),
+                bits(&quantize_from_nonzeros(&q, &t, block)),
+                "{:?}",
+                scheme
+            );
+        }
+    }
+}
+
 /// Non-finite contamination (NaN / ±∞) must take the same degenerate-θ
 /// path on the fast path as on naive.
 #[test]
