@@ -67,7 +67,8 @@ impl PeArray {
     /// (see [`cq_sim::mapping::pe_sweep_cycles`]): `kfold` reduction
     /// chunks map across the row dimension, shortening skinny sweeps.
     /// Energy is fold-independent — the same MACs execute either way —
-    /// and `kfold = 1` is exactly [`PeArray::matmul`].
+    /// and `kfold = 1` is exactly [`PeArray::matmul`]. MAC and cycle
+    /// counts past `u64::MAX` saturate there.
     pub fn matmul_mapped(&self, m: u64, n: u64, k: u64, kfold: u64) -> PeCost {
         if m == 0 || n == 0 || k == 0 {
             return PeCost::default();
@@ -80,7 +81,7 @@ impl PeArray {
             cq_sim::mapping::MatShape { m, n, k },
             self.passes,
         );
-        let macs = m * n * k;
+        let macs = m.saturating_mul(n).saturating_mul(k);
         PeCost {
             cycles,
             energy_pj: self.mac_energy_pj(macs),

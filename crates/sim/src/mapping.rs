@@ -207,7 +207,8 @@ impl MemHierarchy {
 /// (output-row groups of `rows / kfold` physical rows; the adder tree
 /// sums the chunks), so a skinny matmul (`m < rows`) can trade idle
 /// rows for `kfold`× shorter reduction sweeps. `kfold = 1` is exactly
-/// the legacy output-stationary sweep.
+/// the legacy output-stationary sweep. A count past `u64::MAX`
+/// saturates there.
 pub fn pe_sweep_cycles(
     rows: u64,
     cols: u64,
@@ -223,8 +224,10 @@ pub fn pe_sweep_cycles(
     let row_group = (rows / fold).max(1);
     let row_tiles = shape.m.div_ceil(row_group);
     let col_tiles = shape.n.div_ceil(cols.max(1));
-    let tiles_per_array = (row_tiles * col_tiles).div_ceil(arrays.max(1));
-    tiles_per_array * shape.k.div_ceil(fold) * passes
+    let tiles_per_array = row_tiles.saturating_mul(col_tiles).div_ceil(arrays.max(1));
+    tiles_per_array
+        .saturating_mul(shape.k.div_ceil(fold))
+        .saturating_mul(passes)
 }
 
 /// Sentinel tile size meaning "the whole problem dimension".
