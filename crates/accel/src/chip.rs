@@ -116,11 +116,6 @@ impl CambriconQ {
         &self.config
     }
 
-    /// The active mapping policy.
-    pub fn mapping_policy(&self) -> &MappingPolicy {
-        &self.mapping
-    }
-
     /// Quantized element size in bytes (0.5 for INT4, 1 for INT8, ...).
     fn qbytes(&self) -> f64 {
         self.config.train_format.bytes()

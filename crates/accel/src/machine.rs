@@ -123,11 +123,6 @@ impl Machine {
         &mut self.dram
     }
 
-    /// Current NDPO configuration registers.
-    pub fn ndpo_regs(&self) -> NdpoRegs {
-        self.regs
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> ExecStats {
         self.stats
@@ -145,10 +140,11 @@ impl Machine {
     fn check(&self, op: Operand, elems: usize) -> Result<usize, MachineError> {
         let start = op.offset as usize / 4;
         let cap = self.space_len(op.space);
-        if start + elems > cap {
+        let end = start.saturating_add(elems);
+        if end > cap {
             return Err(MachineError::OutOfBounds {
                 space: op.space,
-                index: start + elems,
+                index: end,
                 capacity: cap,
             });
         }
@@ -323,13 +319,23 @@ impl Machine {
                 );
                 let params = ops::Conv2dParams::new(stride as usize, padding as usize);
                 let out_hw = params.output_dim(hw, k);
-                let x = Tensor::from_vec(self.read(src, n * c * hw * hw)?, &[n, c, hw, hw])
+                // Sizes saturate: a product past `usize` is an
+                // out-of-bounds operand, never an overflow.
+                let size = |dims: &[usize]| dims.iter().fold(1usize, |a, &d| a.saturating_mul(d));
+                let x = Tensor::from_vec(self.read(src, size(&[n, c, hw, hw]))?, &[n, c, hw, hw])
                     .expect("sized");
-                let w = Tensor::from_vec(self.read(weight, f * c * k * k)?, &[f, c, k, k])
+                let w = Tensor::from_vec(self.read(weight, size(&[f, c, k, k]))?, &[f, c, k, k])
                     .expect("sized");
-                let y = ops::conv2d(&x, &w, params).expect("dims validated by shapes");
-                self.write(dest, y.data())?;
-                self.stats.macs += (n * f * out_hw * out_hw * c * k * k) as u64;
+                // The output is bounded before it is computed. An empty one
+                // has no window to compute: with no filters the weight read
+                // bounds nothing, and `c·k·k` may not even fit a `usize`.
+                let y_elems = size(&[n, f, out_hw, out_hw]);
+                self.check(dest, y_elems)?;
+                if y_elems > 0 {
+                    let y = ops::conv2d(&x, &w, params).expect("dims validated by shapes");
+                    self.write(dest, y.data())?;
+                    self.stats.macs += size(&[y_elems, c, k, k]) as u64;
+                }
             }
             Instruction::Vec {
                 op,
@@ -700,6 +706,64 @@ mod tests {
         // Corner outputs see a 2x2 window = 4.
         assert_eq!(m.dram()[32], 4.0);
         assert_eq!(stats.macs, (16 * 9) as u64);
+    }
+
+    /// A CONV with the given shape, stride 1, reading NBin and SB and
+    /// writing NBout.
+    fn conv(
+        batch: u32,
+        in_channels: u32,
+        out_channels: u32,
+        in_hw: u32,
+        kernel: u32,
+        padding: u32,
+    ) -> Instruction {
+        Instruction::Conv {
+            dest: Operand::nbout(0),
+            weight: Operand::sb(0),
+            src: Operand::nbin(0),
+            batch,
+            in_channels,
+            out_channels,
+            in_hw,
+            kernel,
+            stride: 1,
+            padding,
+        }
+    }
+
+    /// CONV operand sizes past `usize` are out-of-bounds accesses, as an
+    /// oversized MM operand is, not multiply overflows: an oversized
+    /// input; a 1×1×4×4 input that fits with an oversized weight; and a
+    /// 1×1 input and kernel whose padding makes the output oversized,
+    /// which must be refused before the output is allocated.
+    #[test]
+    fn conv_with_oversized_operands_is_out_of_bounds() {
+        for (instr, space) in [
+            (conv(u32::MAX, u32::MAX, 1, u32::MAX, 3, 0), MemSpace::NBin),
+            (conv(1, 1, u32::MAX, 4, u32::MAX, 0), MemSpace::Sb),
+            (conv(1, 1, 1, 1, 1, u32::MAX), MemSpace::NBout),
+        ] {
+            let err = machine().execute(&instr).unwrap_err();
+            assert_eq!(
+                err,
+                MachineError::OutOfBounds {
+                    space,
+                    index: usize::MAX,
+                    capacity: machine().space_len(space),
+                },
+                "{instr}"
+            );
+        }
+    }
+
+    /// With no filters the output is empty, so nothing is computed, even
+    /// for a reduction length `in_channels · kernel²` past `usize`.
+    #[test]
+    fn conv_with_no_filters_computes_nothing() {
+        let mut m = machine();
+        m.execute(&conv(1, u32::MAX, 0, 0, u32::MAX, 0)).unwrap();
+        assert_eq!(m.stats().macs, 0);
     }
 
     #[test]

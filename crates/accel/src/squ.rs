@@ -111,23 +111,6 @@ impl Squ {
         (sels, cost)
     }
 
-    /// Like [`Squ::quantize`] but through the overflow/NaN guard: anomalous
-    /// blocks are recovered (sanitize / recompute θ / re-multiplex wider)
-    /// instead of panicking, and each recovery is returned as a
-    /// [`DegradeEvent`]. Re-multiplexed blocks are charged one extra Quant
-    /// Unit pass, since the hardware replays the block through the
-    /// multiplexer at the wider width.
-    pub fn quantize_guarded(
-        &self,
-        x: &Tensor,
-    ) -> (Vec<E2bqmSelection>, SquCost, Vec<DegradeEvent>) {
-        let mut cost = self.stream_cost(x.len() as u64);
-        let guard = GuardedQuantizer::new(self.quantizer);
-        let (sels, events) = guard.quantize_blocks(x, self.block_elems);
-        self.charge_degrades(&mut cost, &events, self.block_elems as u64);
-        (sels, cost, events)
-    }
-
     /// Quantizes one block whose θ statistic register holds an externally
     /// observed (possibly fault-corrupted) value; the guard validates and
     /// recovers. This is the fault-injection seam for the SQU's statistic

@@ -347,7 +347,7 @@ fn int8_gemm_entry(m: usize, k: usize, n: usize, reps: usize) -> Entry {
     }
 }
 
-/// One full training step under `CQ_QUANT_PATH`-style A/B: `ns_naive`
+/// One full training step as a `QuantPath` A/B: `ns_naive`
 /// trains with the fake-quantizing f32 path (quantize → dequantize →
 /// f32 GEMM) and `ns_fast` with the integer path (quantize once →
 /// i8×i8→i32 GEMM → single rescale), both on `Backend::Fast` with the
@@ -795,7 +795,7 @@ fn main() {
     eprintln!(
         "bench_perf: threads={} quick={quick} fast-path=[{}]",
         Pool::global().threads(),
-        cq_tensor::fast_path_info()
+        cq_par::describe_active_plan()
     );
 
     // Reference GEMM always runs: it gates --check. So does the

@@ -8,13 +8,13 @@
 //! proxy experiments train on:
 //!
 //! * [`gaussian_blobs`] — separable multi-class vectors (MLP benchmarks);
-//! * [`spirals`] — non-linearly separable 2-D classes;
 //! * [`textures`] — `[B, C, H, W]` images whose class determines spatial
 //!   frequency (CNN benchmarks);
 //! * [`sequence_majority`] — `[T, B, K]` one-hot streams labeled by their
 //!   majority symbol (LSTM benchmark);
-//! * [`sequence_pairs`] — `[B, T, D]` embeddings labeled by whether two
-//!   marked positions carry matching patterns (attention benchmark).
+//! * [`sequence_needle`] — `[B, T, D]` noise with one of `classes`
+//!   pattern vectors planted at a random position, labeled by the pattern
+//!   (attention benchmark).
 //!
 //! Every generator takes a seed; the same seed yields the same dataset.
 
@@ -75,32 +75,6 @@ pub fn gaussian_blobs(samples: usize, dim: usize, classes: usize, std: f32, seed
     }
     Dataset {
         x: Tensor::from_vec(data, &[samples, dim]).expect("sized to fit"),
-        labels,
-    }
-}
-
-/// Two-dimensional spiral classification with `classes` interleaved arms.
-///
-/// # Panics
-///
-/// Panics if `classes` is zero.
-pub fn spirals(samples: usize, classes: usize, noise: f32, seed: u64) -> Dataset {
-    assert!(classes > 0, "classes must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(samples * 2);
-    let mut labels = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let c = i % classes;
-        labels.push(c);
-        let t = (i / classes) as f32 / ((samples / classes).max(1) as f32);
-        let r = 0.2 + 0.8 * t;
-        let theta = t * 3.0 * std::f32::consts::PI
-            + (c as f32) * 2.0 * std::f32::consts::PI / classes as f32;
-        data.push(r * theta.cos() + noise * init::sample_standard_normal(&mut rng));
-        data.push(r * theta.sin() + noise * init::sample_standard_normal(&mut rng));
-    }
-    Dataset {
-        x: Tensor::from_vec(data, &[samples, 2]).expect("sized to fit"),
         labels,
     }
 }
@@ -182,48 +156,6 @@ pub fn sequence_majority(batch: usize, t: usize, k: usize, seed: u64) -> Dataset
     Dataset { x, labels }
 }
 
-/// Pair-matching task for attention: `[B, T, D]` embeddings where two
-/// random positions carry the same (label 1) or different (label 0)
-/// pattern vectors — solvable only by comparing distant positions.
-///
-/// # Panics
-///
-/// Panics if `t < 2`.
-pub fn sequence_pairs(batch: usize, t: usize, d: usize, seed: u64) -> Dataset {
-    assert!(t >= 2, "need at least two positions");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let patterns: Vec<Vec<f32>> = (0..8)
-        .map(|_| (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
-        .collect();
-    let mut x = Tensor::zeros(&[batch, t, d]);
-    let mut labels = Vec::with_capacity(batch);
-    for b in 0..batch {
-        for ti in 0..t {
-            for di in 0..d {
-                x.data_mut()[(b * t + ti) * d + di] = 0.1 * init::sample_standard_normal(&mut rng);
-            }
-        }
-        let p1 = rng.gen_range(0..t);
-        let mut p2 = rng.gen_range(0..t);
-        while p2 == p1 {
-            p2 = rng.gen_range(0..t);
-        }
-        let matching = rng.gen::<bool>();
-        let pat1 = rng.gen_range(0..patterns.len());
-        let pat2 = if matching {
-            pat1
-        } else {
-            (pat1 + 1 + rng.gen_range(0..patterns.len() - 1)) % patterns.len()
-        };
-        for di in 0..d {
-            x.data_mut()[(b * t + p1) * d + di] += patterns[pat1][di];
-            x.data_mut()[(b * t + p2) * d + di] += patterns[pat2][di];
-        }
-        labels.push(matching as usize);
-    }
-    Dataset { x, labels }
-}
-
 /// Needle-retrieval task for attention: one of `classes` pattern vectors
 /// is planted at a random position of an otherwise noisy `[B, T, D]`
 /// sequence; the label is the planted pattern's index. Mean pooling
@@ -292,13 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn spirals_shape() {
-        let d = spirals(100, 2, 0.05, 3);
-        assert_eq!(d.x.dims(), &[100, 2]);
-        assert!(d.x.max_abs() < 3.0);
-    }
-
-    #[test]
     fn textures_shape_and_classes() {
         let d = textures(12, 1, 8, 4, 0.1, 7);
         assert_eq!(d.x.dims(), &[12, 1, 8, 8]);
@@ -321,15 +246,6 @@ mod tests {
             let max = *counts.iter().max().unwrap();
             assert_eq!(counts[d.labels[b]], max, "sample {b}");
         }
-    }
-
-    #[test]
-    fn sequence_pairs_binary_labels() {
-        let d = sequence_pairs(32, 6, 8, 13);
-        assert_eq!(d.x.dims(), &[32, 6, 8]);
-        assert!(d.labels.iter().all(|&l| l <= 1));
-        assert!(d.labels.contains(&0));
-        assert!(d.labels.contains(&1));
     }
 
     #[test]

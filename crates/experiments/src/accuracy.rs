@@ -153,19 +153,17 @@ impl ProxyTask {
     }
 }
 
-/// Trains one proxy under one quantizer; returns held-out accuracy.
-/// The compute path follows `CQ_QUANT_PATH` (the [`QuantCtx::new`]
-/// default); use [`train_proxy_on`] to pin it explicitly.
+/// Trains one proxy under one quantizer on the f32 forward path
+/// ([`QuantPath::Fp32`]); returns held-out accuracy. Use
+/// [`train_proxy_on`] for the int8 forward.
 pub fn train_proxy(task: ProxyTask, quantizer: &TrainingQuantizer, seed: u64) -> f64 {
-    train_proxy_on(task, quantizer, seed, cq_nn::env_quant_path()).0
+    train_proxy_on(task, quantizer, seed, QuantPath::Fp32).0
 }
 
-/// Trains one proxy under one quantizer with an explicit compute path
-/// (ignoring `CQ_QUANT_PATH`, which is process-cached and therefore
-/// useless for a same-process A/B). Returns the held-out accuracy and
-/// the integer path's pow2-ladder hit rate — `None` when no layer
-/// forward consulted the ladder (the `Fp32` path, or a model with no
-/// Dense/Conv2d layers).
+/// Trains one proxy under one quantizer on an explicit forward path.
+/// Returns the held-out accuracy and the integer path's pow2-ladder hit
+/// rate — `None` when no layer forward consulted the ladder (the `Fp32`
+/// path, or a model with no Dense/Conv2d layers).
 pub fn train_proxy_on(
     task: ProxyTask,
     quantizer: &TrainingQuantizer,

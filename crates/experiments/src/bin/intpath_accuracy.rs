@@ -1,8 +1,9 @@
 //! Accuracy gap of the dequantization-free integer training path: every
 //! proxy benchmark trained under `zhang2020_hqt` through the f32
-//! fake-quantize path and through the int8 path (`CQ_QUANT_PATH` A/B,
-//! pinned explicitly so one process measures both sides — see
-//! EXPERIMENTS.md "Integer-domain training path").
+//! fake-quantize path and through the int8 path, one `QuantCtx` per side
+//! built with `QuantCtx::with_path`, so one process measures both (see
+//! EXPERIMENTS.md "`intpath_accuracy` — integer-domain training path
+//! A/B").
 use cq_experiments::accuracy;
 
 fn main() {

@@ -46,11 +46,7 @@ fn assert_aborts(key: &str, value: &str, needle: &str) {
 
 #[test]
 fn invalid_values_abort_naming_the_variable() {
-    for (key, value) in [
-        ("CQ_THREADS", "fuor"),
-        ("CQ_QUANT_PATH", "int7"),
-        ("CQ_SIMD", "avx512"),
-    ] {
+    for (key, value) in [("CQ_THREADS", "fuor"), ("CQ_SIMD", "avx512")] {
         assert_aborts(key, value, &format!("invalid {key} value"));
     }
 }
@@ -62,7 +58,6 @@ fn unusable_mapping_tune_file_and_trace_abort_naming_the_variable() {
     let in_missing = |file: &str| missing.join(file).display().to_string();
     for (key, value) in [
         ("CQ_MAPPING", "serach".to_string()),
-        ("CQ_TUNE_FILE", in_missing("tuned.profile")),
         ("CQ_TRACE", in_missing("trace.jsonl")),
     ] {
         assert_aborts(key, &value, key);
@@ -71,12 +66,16 @@ fn unusable_mapping_tune_file_and_trace_abort_naming_the_variable() {
 
 #[test]
 fn unknown_cq_names_abort_naming_them() {
-    // Names that no longer exist, and a misspelling of CQ_THREADS.
+    // Names that no longer exist, and a misspelling of CQ_THREADS. A
+    // stale CQ_QUANT_PATH=int8 must stop the run, not train on the f32
+    // path it no longer selects.
     for (key, value) in [
         ("CQ_BACKEND", "naive"),
         ("CQ_HWCACHE", "off"),
         ("CQ_HWCACHE_CAP", "64"),
         ("CQ_SWEEP_JOURNAL", "base"),
+        ("CQ_QUANT_PATH", "int8"),
+        ("CQ_TUNE_FILE", "crates/par/profiles/avx2.profile"),
         ("CQ_THREAD", "2"),
     ] {
         assert_aborts(

@@ -7,7 +7,7 @@
 //! paper (quantized FW/NG/WG, full-precision ΔW and weight update).
 
 use crate::error::NnError;
-use crate::intpath::{env_quant_path, IntPathStats, QuantPath};
+use crate::intpath::{IntPathStats, QuantPath};
 use crate::param::Param;
 use cq_par::conv::{conv2d, ConvShape};
 use cq_par::{gemm, Pool};
@@ -60,7 +60,8 @@ pub struct QuantCtx {
     /// routes [`Dense`]/[`Conv2d`] forwards through i8×i8→i32 kernels with
     /// a single output rescale; layers whose scales fall off the
     /// power-of-two ladder fall back to the f32 path for that pass.
-    /// Defaults to the validated `CQ_QUANT_PATH` environment knob.
+    /// Defaults to [`QuantPath::Fp32`]; [`QuantCtx::with_path`] selects
+    /// the int8 forward.
     pub path: QuantPath,
     /// Scratch arena threaded through every fast-path quantization this
     /// context performs, so steady-state training steps reuse candidate
@@ -75,23 +76,18 @@ pub struct QuantCtx {
 }
 
 impl QuantCtx {
-    /// Full-precision context (no quantization anywhere). Always runs the
-    /// f32 path regardless of `CQ_QUANT_PATH` — an identity quantizer has
-    /// no codes to feed an integer kernel.
+    /// Full-precision context (no quantization anywhere).
     pub fn fp32() -> Self {
-        let mut ctx = QuantCtx::new(TrainingQuantizer::fp32());
-        ctx.path = QuantPath::Fp32;
-        ctx
+        QuantCtx::new(TrainingQuantizer::fp32())
     }
 
-    /// Context with the given training quantizer. The forward path
-    /// defaults to the process-wide `CQ_QUANT_PATH` knob (validated, see
-    /// [`crate::intpath`]).
+    /// Context with the given training quantizer, on the fast backend and
+    /// the f32 forward path ([`QuantPath::Fp32`]).
     pub fn new(quantizer: TrainingQuantizer) -> Self {
         QuantCtx {
             quantizer,
             backend: Backend::Fast,
-            path: env_quant_path(),
+            path: QuantPath::Fp32,
             scratch: Arc::new(Mutex::new(QuantScratch::new())),
             int_state: Arc::new(Mutex::new(IntState::new())),
             stats: Arc::new(IntPathStats::new()),
@@ -104,8 +100,8 @@ impl QuantCtx {
         self
     }
 
-    /// Returns the context pinned to an explicit forward path,
-    /// overriding the `CQ_QUANT_PATH` default.
+    /// Returns the context pinned to an explicit forward path; the only
+    /// way onto [`QuantPath::Int8`].
     pub fn with_path(mut self, path: QuantPath) -> Self {
         self.path = path;
         self
@@ -1025,37 +1021,6 @@ impl Layer for Flatten {
     }
 }
 
-/// Global average pooling `[B, C, H, W] → [B, C]`.
-#[derive(Debug, Default)]
-pub struct GlobalAvgPool {
-    dims: Option<Vec<usize>>,
-}
-
-impl GlobalAvgPool {
-    /// Creates a global-average-pool layer.
-    pub fn new() -> Self {
-        GlobalAvgPool::default()
-    }
-}
-
-impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
-        self.dims = Some(x.dims().to_vec());
-        Ok(ops::global_avgpool(x)?)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
-        let dims = self.dims.as_ref().ok_or(NnError::NoForwardCache {
-            layer: "gap".into(),
-        })?;
-        Ok(ops::global_avgpool_backward(grad_out, dims)?)
-    }
-
-    fn name(&self) -> &str {
-        "global_avgpool"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1186,11 +1151,6 @@ mod tests {
         let y = p.forward(&x, &ctx).unwrap();
         assert_eq!(y.dims(), &[2, 3, 2, 2]);
         assert_eq!(p.backward(&y, &ctx).unwrap().dims(), x.dims());
-
-        let mut g = GlobalAvgPool::new();
-        let y = g.forward(&x, &ctx).unwrap();
-        assert_eq!(y.dims(), &[2, 3]);
-        assert_eq!(g.backward(&y, &ctx).unwrap().dims(), x.dims());
     }
 
     #[test]
@@ -1328,8 +1288,10 @@ mod tests {
 
     #[test]
     fn int8_path_ignored_by_fp32_ctx_and_shared_by_clones() {
-        // fp32() pins the f32 path even if the env knob says int8.
+        // A context starts on the f32 path.
         assert_eq!(QuantCtx::fp32().path, QuantPath::Fp32);
+        let hqt = QuantCtx::new(TrainingQuantizer::zhang2020_hqt());
+        assert_eq!(hqt.path, QuantPath::Fp32);
         // Clones share the stats handle but keep their own scratch.
         let int = QuantCtx::new(TrainingQuantizer::zhang2020_hqt()).with_path(QuantPath::Int8);
         let cloned = int.clone();

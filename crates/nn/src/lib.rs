@@ -3,11 +3,12 @@
 //! A from-scratch training framework sufficient to run the paper's
 //! quantized-training accuracy experiments at small scale:
 //!
-//! * layers: [`Dense`], [`Conv2d`], [`Relu`], [`MaxPool2d`], [`Flatten`], [`GlobalAvgPool`] —
+//! * layers: [`Dense`], [`Conv2d`], [`Relu`], [`MaxPool2d`], [`Flatten`] —
 //!   all quantization-aware via the [`QuantCtx`] threaded through
 //!   forward/backward (quantized FW/NG/WG operands, full-precision master
 //!   weights and ΔW, exactly the Fig. 7 dataflow);
-//! * [`intpath`]: the `CQ_QUANT_PATH=fp32|int8` knob — with `int8`,
+//! * [`intpath`]: the int8 forward a context selects with
+//!   [`QuantCtx::with_path`]`(`[`QuantPath::Int8`]`)` —
 //!   [`Dense`]/[`Conv2d`] forwards run dequantization-free through
 //!   i8×i8→i32 kernels with one output rescale, falling back to f32 per
 //!   pass when a block's scale leaves the power-of-two ladder;
@@ -40,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index-based numeric kernels read clearer here
 
-mod activations;
 mod attention;
 pub mod checkpoint;
 mod crc32;
@@ -52,15 +52,12 @@ mod lstm;
 mod model;
 pub mod optim;
 mod param;
-pub mod schedule;
 
-pub use activations::{BatchNorm1d, Sigmoid, Tanh};
 pub use attention::SelfAttention;
 pub use error::NnError;
-pub use intpath::{env_quant_path, IntPathStats, QuantPath};
-pub use layers::{Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, QuantCtx, Relu};
+pub use intpath::{IntPathStats, QuantPath};
+pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, QuantCtx, Relu};
 pub use lstm::Lstm;
 pub use model::{Sequential, StepReport};
 pub use optim::{AdaGrad, Adam, Optimizer, RmsProp, Sgd};
 pub use param::Param;
-pub use schedule::LrSchedule;

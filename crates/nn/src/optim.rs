@@ -23,12 +23,6 @@ pub trait Optimizer: fmt::Debug {
 
     /// The optimizer's display name.
     fn name(&self) -> &'static str;
-
-    /// Learning rate currently in use.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (used by `schedule::apply`).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Plain stochastic gradient descent: `w ← w − η·g`.
@@ -57,14 +51,6 @@ impl Optimizer for Sgd {
 
     fn name(&self) -> &'static str {
         "SGD"
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -103,14 +89,6 @@ impl Optimizer for AdaGrad {
 
     fn name(&self) -> &'static str {
         "AdaGrad"
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -155,14 +133,6 @@ impl Optimizer for RmsProp {
 
     fn name(&self) -> &'static str {
         "RMSProp"
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -232,14 +202,6 @@ impl Optimizer for Adam {
 
     fn name(&self) -> &'static str {
         "Adam"
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -330,6 +292,5 @@ mod tests {
         assert_eq!(AdaGrad::new(0.1).name(), "AdaGrad");
         assert_eq!(RmsProp::new(0.1, 0.9).name(), "RMSProp");
         assert_eq!(Adam::with_defaults(0.1).name(), "Adam");
-        assert_eq!(Sgd::new(0.25).learning_rate(), 0.25);
     }
 }

@@ -3,15 +3,11 @@
 //! matching micro-kernel of every element type as a [`GemmPlan`].
 //!
 //! The plan every public `gemm*` entry point uses is resolved once per
-//! process by [`active_plan`]:
-//!
-//! 1. If `CQ_TUNE_FILE` is set, the profile at that path is loaded.
-//!    Unreadable files, malformed profiles, or a profile tuned for a
-//!    different SIMD level than the one running abort with a diagnostic
-//!    — a half-applied tuning result is worse than none.
-//! 2. Otherwise a committed default profile for the active SIMD level is
-//!    used (`crates/par/profiles/{avx2,scalar}.profile`, regenerated
-//!    with the `cq-tune` crate's `cq_tune` binary — see EXPERIMENTS.md).
+//! process by [`active_plan`]: the committed profile for the active SIMD
+//! level (`crates/par/profiles/{avx2,scalar}.profile`). Retuning means
+//! regenerating that file with the `cq-tune` crate's `cq_tune` binary
+//! (`cq_tune --out crates/par/profiles/<level>.profile`, see
+//! EXPERIMENTS.md) and rebuilding.
 //!
 //! The profile format is deliberately line-based and dependency-free:
 //!
@@ -237,31 +233,12 @@ pub fn default_profile(level: SimdLevel) -> (SimdLevel, TileConfig) {
     (simd, cfg)
 }
 
-/// Resolves the process-wide plan: `CQ_TUNE_FILE` if set (fail-loud on
-/// any problem), otherwise the committed default for the active SIMD
-/// level. Resolved once; later env changes have no effect.
+/// Resolves the process-wide plan: the committed default profile for
+/// the active SIMD level. Resolved once.
 pub fn active_plan() -> &'static GemmPlan {
     static PLAN: OnceLock<GemmPlan> = OnceLock::new();
     PLAN.get_or_init(|| {
-        let level = simd_level();
-        let (simd, cfg) = match std::env::var("CQ_TUNE_FILE") {
-            Ok(path) if !path.trim().is_empty() => {
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("CQ_TUNE_FILE={path:?} could not be read: {e}"));
-                let (simd, cfg) = parse_profile(&text)
-                    .unwrap_or_else(|e| panic!("CQ_TUNE_FILE={path:?} is invalid: {e}"));
-                if simd != level {
-                    panic!(
-                        "CQ_TUNE_FILE={path:?} was tuned for the {} micro-kernels but this \
-                         process runs {} (CQ_SIMD / feature detection); retune or unset it",
-                        simd.name(),
-                        level.name()
-                    );
-                }
-                (simd, cfg)
-            }
-            _ => default_profile(level),
-        };
+        let (simd, cfg) = default_profile(simd_level());
         GemmPlan::new(simd, cfg).unwrap_or_else(|e| panic!("invalid GEMM plan: {e}"))
     })
 }

@@ -5,8 +5,9 @@
 //! * [`Backend::Naive`] — the original single-threaded scalar triple
 //!   loops, kept as the bit-accurate reference.
 //! * [`Backend::Fast`] — `cq-par`'s three-level blocked GEMM (SIMD
-//!   micro-kernel under KC/MC/NC panel blocking, selected by `CQ_SIMD` /
-//!   `CQ_TUNE_FILE` — see [`fast_path_info`]) and im2col convolution,
+//!   micro-kernel under KC/MC/NC panel blocking, selected by `CQ_SIMD`
+//!   and the committed tune profile — see
+//!   [`cq_par::describe_active_plan`]) and im2col convolution,
 //!   parallelized over the global worker pool.
 //!
 //! Both accumulate every output element over the reduction dimension in
@@ -31,13 +32,4 @@ pub enum Backend {
     /// Tiled, pooled kernels from `cq-par` (the default).
     #[default]
     Fast,
-}
-
-/// One-line description of what the Fast backend resolves to on this
-/// process: SIMD micro-kernel level and blocking plan (e.g.
-/// `"avx2 6x16 kc=512 mc=144 nc=2048"`). Forces plan resolution, so a
-/// bad `CQ_SIMD`/`CQ_TUNE_FILE` aborts here rather than mid-GEMM —
-/// bench and experiment binaries print this up front for provenance.
-pub fn fast_path_info() -> String {
-    cq_par::describe_active_plan()
 }

@@ -37,7 +37,7 @@ pub mod ops;
 mod shape;
 mod tensor;
 
-pub use backend::{fast_path_info, Backend};
+pub use backend::Backend;
 pub use error::TensorError;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -626,51 +626,6 @@ pub fn maxpool2d_backward(
     Ok(gin)
 }
 
-/// Global average pooling: `[N, C, H, W] → [N, C]`.
-///
-/// # Errors
-///
-/// Returns a rank error for non-4D input.
-pub fn global_avgpool(input: &Tensor) -> Result<Tensor, TensorError> {
-    check_rank4(input, "global_avgpool")?;
-    let [n, c, h, w] = four(input);
-    let area = (h * w) as f32;
-    let mut out = Tensor::zeros(&[n, c]);
-    let id = input.data();
-    let od = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            od[ni * c + ci] = id[base..base + h * w].iter().sum::<f32>() / area;
-        }
-    }
-    Ok(out)
-}
-
-/// Backward pass of [`global_avgpool`].
-///
-/// # Errors
-///
-/// Returns a rank error if `grad_output` is not rank 2.
-pub fn global_avgpool_backward(
-    grad_output: &Tensor,
-    input_dims: &[usize],
-) -> Result<Tensor, TensorError> {
-    check_rank2(grad_output, "global_avgpool_backward")?;
-    let (h, w) = (input_dims[2], input_dims[3]);
-    let area = (h * w) as f32;
-    let mut gin = Tensor::zeros(input_dims);
-    let god = grad_output.data();
-    let gid = gin.data_mut();
-    for (i, chunk) in gid.chunks_mut(h * w).enumerate() {
-        let g = god[i] / area;
-        for x in chunk {
-            *x = g;
-        }
-    }
-    Ok(gin)
-}
-
 fn four(t: &Tensor) -> [usize; 4] {
     [t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]]
 }
@@ -907,16 +862,6 @@ mod tests {
         let input = Tensor::ones(&[1, 1, 2, 2]);
         assert!(maxpool2d(&input, 0).is_err());
         assert!(maxpool2d(&input, 3).is_err());
-    }
-
-    #[test]
-    fn global_avgpool_roundtrip() {
-        let input = Tensor::from_vec((0..8).map(|x| x as f32).collect(), &[1, 2, 2, 2]).unwrap();
-        let out = global_avgpool(&input).unwrap();
-        assert_eq!(out.data(), &[1.5, 5.5]);
-        let gout = Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap();
-        let gin = global_avgpool_backward(&gout, input.dims()).unwrap();
-        assert_eq!(gin.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]

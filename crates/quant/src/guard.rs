@@ -148,14 +148,6 @@ impl GuardedQuantizer {
         &self.inner
     }
 
-    /// Same guard with a different overflow threshold (fraction of
-    /// saturated elements tolerated before re-multiplexing).
-    pub fn with_overflow_limit(mut self, limit: f32) -> Self {
-        assert!((0.0..=1.0).contains(&limit), "overflow limit in [0,1]");
-        self.overflow_limit = limit;
-        self
-    }
-
     /// Quantizes one block, computing θ internally (the clean path).
     pub fn quantize(&self, x: &Tensor) -> (E2bqmSelection, Vec<DegradeEvent>) {
         self.quantize_block_with_theta(x, None, 0)

@@ -100,11 +100,6 @@ impl MiniFloat {
         mant * 2f32.powi(max_exp - self.bias())
     }
 
-    /// Smallest positive normal magnitude.
-    pub fn min_normal(&self) -> f32 {
-        2f32.powi(1 - self.bias())
-    }
-
     /// Quantizes one value to the nearest representable number (round to
     /// nearest, saturating at ±max).
     pub fn quantize(&self, x: f32) -> f32 {

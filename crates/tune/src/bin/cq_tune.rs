@@ -1,4 +1,4 @@
-//! Autotune the cq-par GEMM blocking and write a `CQ_TUNE_FILE` profile.
+//! Autotune the cq-par GEMM blocking and write a `cq_par::tune` profile.
 //!
 //! ```text
 //! cq_tune [--quick] [--out PATH]
@@ -6,7 +6,10 @@
 //!
 //! Without `--out` the winning profile is printed to stdout (after the
 //! progress log, which goes to stderr). `--quick` runs the coarse CI
-//! grid; omit it when regenerating the committed default profiles.
+//! grid; omit it when regenerating the committed default profiles. The
+//! GEMM reads only the committed profile for its SIMD level, so a tuned
+//! plan takes effect through `--out crates/par/profiles/<level>.profile`
+//! and a rebuild.
 
 use cq_tune::{tune_with_log, TuneOptions};
 

@@ -17,10 +17,10 @@
 //! set of probe shapes (best-of-reps per shape, like `bench_perf`), so a
 //! config that wins big on one shape can't hide a regression on another.
 //!
-//! The winning config is rendered in the `cq_par::tune` profile format:
-//! point `CQ_TUNE_FILE` at it, or commit it as the default profile for
-//! its SIMD level (`crates/par/profiles/`). See EXPERIMENTS.md for the
-//! recipe.
+//! The winning config is rendered in the `cq_par::tune` profile format;
+//! committed as the profile for its SIMD level (`crates/par/profiles/`),
+//! it becomes the plan every GEMM runs after a rebuild. See
+//! EXPERIMENTS.md for the recipe.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -118,7 +118,7 @@ pub struct TuneResult {
 }
 
 impl TuneResult {
-    /// The winner rendered in the `CQ_TUNE_FILE` profile format.
+    /// The winner rendered in the `cq_par::tune` profile format.
     pub fn profile(&self) -> String {
         cq_par::render_profile(self.level, &self.cfg)
     }

@@ -58,14 +58,6 @@ impl Network {
             .sum()
     }
 
-    /// Total activation elements (inputs + outputs) per minibatch.
-    pub fn activation_elems(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| (l.input_count() + l.output_count()) * self.batch_size as u64)
-            .sum()
-    }
-
     /// Ratio of weight-update work to total compute work: networks with
     /// many weights relative to MACs (AlexNet, Transformer) are WU-heavy,
     /// the paper's motivation for the NDP engine.
