@@ -1,6 +1,7 @@
 //! Per-layer mapping search over the capacity-legal mapping space.
 //!
-//! Reuses cq-tune's two-stage search shape ([`cq_tune::two_stage`]):
+//! The search runs in two stages (`two_stage`): it scores every coarse
+//! candidate, then a refinement neighbourhood of the winner.
 //!
 //! 1. **Structure** — every DRAM-level loop order with
 //!    buffer-capacity-fitted tiles at a neutral seed; the order decides
@@ -45,7 +46,6 @@
 use crate::chip::{CambriconQ, LayerMapEval};
 use cq_sim::mapping::{pe_sweep_cycles, LoopOrder, Mapping, MappingTable, MatShape, MemHierarchy};
 use cq_sim::{HwCostCache, HwCostKey};
-use cq_tune::two_stage;
 use cq_workloads::{Layer, MatmulDims, Network};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -96,6 +96,64 @@ impl LayerSearch {
     pub fn improved(&self) -> bool {
         self.searched_cycles < self.default_cycles
             || self.searched_energy_pj < self.default_energy_pj
+    }
+}
+
+/// Outcome of a [`two_stage`] search.
+#[derive(Debug, Clone)]
+struct TwoStageResult<C> {
+    /// Best-scoring candidate across both stages.
+    best: C,
+    /// Its score (higher is better); `f64::MIN` if no candidate scored.
+    score: f64,
+    /// Number of candidates submitted to `score`.
+    candidates: usize,
+}
+
+/// Generic two-stage search: score every coarse stage-1 candidate, pick
+/// the winner, expand it into a stage-2 refinement neighbourhood via
+/// `refine`, and score those too.
+///
+/// `score` returns `None` for candidates that are illegal (a mapping
+/// that violates buffer capacity, or one the traffic gate prunes); a
+/// refinement identical to the stage-1 winner is skipped rather than
+/// scored twice. Panics if `stage1` is empty.
+fn two_stage<C, F, R>(stage1: &[C], mut score: F, refine: R) -> TwoStageResult<C>
+where
+    C: Clone + PartialEq,
+    F: FnMut(&C) -> Option<f64>,
+    R: FnOnce(&C) -> Vec<C>,
+{
+    assert!(!stage1.is_empty(), "two_stage: empty stage-1 candidate set");
+    let mut candidates = 0usize;
+    let mut best = stage1[0].clone();
+    let mut best_score = f64::MIN;
+    for c in stage1 {
+        candidates += 1;
+        if let Some(s) = score(c) {
+            if s > best_score {
+                best_score = s;
+                best = c.clone();
+            }
+        }
+    }
+    let stage1_winner = best.clone();
+    for c in refine(&stage1_winner) {
+        if c == stage1_winner {
+            continue; // already scored in stage 1
+        }
+        candidates += 1;
+        if let Some(s) = score(&c) {
+            if s > best_score {
+                best_score = s;
+                best = c;
+            }
+        }
+    }
+    TwoStageResult {
+        best,
+        score: best_score,
+        candidates,
     }
 }
 
@@ -356,6 +414,38 @@ mod tests {
     use crate::config::CqConfig;
     use cq_sim::mapping::MappingPolicy;
     use cq_workloads::models;
+
+    #[test]
+    fn two_stage_skips_winner_and_keeps_best() {
+        // Deterministic scores: stage 1 over 1..=3 (3 wins), refinement
+        // re-lists the winner (skipped) plus 30 (wins) and an illegal 99.
+        let mut scored = Vec::new();
+        let res = two_stage(
+            &[1, 2, 3],
+            |&c| {
+                scored.push(c);
+                if c == 99 {
+                    None
+                } else {
+                    Some(c as f64)
+                }
+            },
+            |&w| vec![w, 30, 99],
+        );
+        assert_eq!(res.best, 30);
+        assert_eq!(res.score, 30.0);
+        // 3 stage-1 + 2 stage-2 (winner skipped, illegal still counted).
+        assert_eq!(res.candidates, 5);
+        assert_eq!(scored, vec![1, 2, 3, 30, 99]);
+    }
+
+    #[test]
+    fn two_stage_all_illegal_falls_back_to_first() {
+        let res = two_stage(&["a", "b"], |_| None, |_| vec!["c"]);
+        assert_eq!(res.best, "a");
+        assert_eq!(res.score, f64::MIN);
+        assert_eq!(res.candidates, 3);
+    }
 
     #[test]
     fn fc_layer_search_wins_via_fold() {

@@ -240,7 +240,8 @@ impl QuantCtx {
     /// Integer-domain convolution forward: same pipeline as
     /// [`Self::int_dense_forward`] with the MAC lowered through the i8
     /// instantiation of `conv2d` (shared im2col and weight prepack with
-    /// the f32 path).
+    /// the f32 path). Also `None` for a zero stride, which the f32 path
+    /// reports as an error.
     fn int_conv_forward(
         &self,
         x: &Tensor,
@@ -249,8 +250,12 @@ impl QuantCtx {
         cached_xq: &mut Option<Tensor>,
         cached_wq: &mut Option<Tensor>,
     ) -> Option<Tensor> {
-        if x.dims().len() != 4 || w.dims().len() != 4 || x.dims()[1] != w.dims()[1] {
-            return None; // let the f32 path report the shape error
+        if x.dims().len() != 4
+            || w.dims().len() != 4
+            || x.dims()[1] != w.dims()[1]
+            || params.stride == 0
+        {
+            return None; // let the f32 path report the shape or stride error
         }
         let (n, c, h, wd) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
         let (f, kh, kw) = (w.dims()[0], w.dims()[2], w.dims()[3]);
@@ -1247,6 +1252,21 @@ mod tests {
         let cos = y_fp.cosine_similarity(&y_int).unwrap();
         assert!(cos > 0.99, "cosine {cos}");
         assert_eq!(int.int_stats().hits(), 1);
+    }
+
+    #[test]
+    fn conv_forward_rejects_zero_stride_on_both_paths() {
+        let x = init::normal(&[1, 2, 6, 6], 0.0, 1.0, 4);
+        for path in [QuantPath::Fp32, QuantPath::Int8] {
+            let ctx = QuantCtx::new(TrainingQuantizer::zhang2020_hqt()).with_path(path);
+            let mut c = Conv2d::new("c", 2, 4, 3, 0, 1, 5);
+            let r = c.forward(&x, &ctx);
+            assert!(
+                matches!(&r, Err(NnError::Tensor(TensorError::InvalidArgument(m))) if m.contains("stride")),
+                "{path:?}: {r:?}"
+            );
+            assert_eq!(ctx.int_stats().hits(), 0);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! KC/MC/NC panel blocking above, pool banding on top — one driver,
 //! generic over the operand element ([`GemmElem`]).
 //!
-//! The loop nest is the classic BLIS/GotoBLAS structure, parameterized by
-//! the active [`GemmPlan`] (see [`crate::tune`]):
+//! The loop nest is the classic BLIS/GotoBLAS structure around a fixed
+//! `MR × NR` = 6 × 16 register tile, with the block sizes of the active
+//! [`GemmPlan`] (see [`crate::tune`]):
 //!
 //! ```text
 //! for jc in 0..n step NC      // B column block   → packed once per (jc,pc)
@@ -64,13 +65,13 @@
 //! its block ascending. Banding, blocking and thread count change which
 //! elements are computed *together*, never the per-element operation
 //! sequence — so f32 results are bitwise identical across thread counts
-//! and tile shapes *within* one SIMD level. Across levels (or vs the
+//! and blockings *within* one SIMD level. Across levels (or vs the
 //! naive backend) the FMA kernels differ by fused-rounding only, inside
 //! the documented `k · amax · bmax · 8ε` parity tolerance.
 //!
 //! i8 is stronger: i32 addition is associative, so its results are
-//! **bitwise identical across SIMD levels, thread counts, tile shapes,
-//! blockings and prepacking** — the scalar kernel reproduces the
+//! **bitwise identical across SIMD levels, thread counts, blockings and
+//! prepacking** — the scalar kernel reproduces the
 //! `vpmaddwd`/`vpaddd` (wrapping) semantics exactly. For i8-ranged
 //! operands no intermediate saturates; accumulator wraparound needs
 //! `k ≥ 2^17` at worst-case magnitudes, far beyond any layer here, and
@@ -80,9 +81,9 @@
 // every call site documents the bounds that make it sound.
 #![allow(unsafe_code)]
 
-use crate::microkernel::{kernel_for, kernel_i8_for, KernFn, SimdLevel, MAX_MR, MAX_NR};
+use crate::microkernel::{KernFn, MR, NR};
 use crate::pool::Pool;
-use crate::tune::{active_plan, GemmPlan};
+use crate::tune::{active_plan, GemmPlan, TileConfig};
 
 /// Minimum multiply-accumulate count before a GEMM fans out to the pool;
 /// below this, scoped-thread spawn overhead (~tens of µs) dominates.
@@ -100,8 +101,8 @@ mod sealed {
 /// with exact `i32` accumulation (see the module docs).
 ///
 /// Sealed. Each impl supplies the only per-type facts the driver needs —
-/// its k-group, widening, accumulate operation and micro-kernel lookup —
-/// so packing, blocking, banding and prepacking are one copy.
+/// its k-group, widening, accumulate operation and the plan's kernel for
+/// it — so packing, blocking, banding and prepacking are one copy.
 pub trait GemmElem: sealed::Sealed + Copy + Default + Send + Sync + 'static {
     /// Accumulator and output element (`f32` / `i32`).
     type Acc: Copy + Default + Send + Sync + 'static;
@@ -117,9 +118,6 @@ pub trait GemmElem: sealed::Sealed + Copy + Default + Send + Sync + 'static {
     fn product(a: Self::Packed, b: Self::Packed) -> Self::Acc;
     /// The accumulate operation (`+` for f32, `wrapping_add` for i32).
     fn accumulate(acc: Self::Acc, v: Self::Acc) -> Self::Acc;
-    /// This type's micro-kernel for a `(level, mr, nr)` triple; `None` if
-    /// the tile is unsupported (or the level lacks it on this target).
-    fn lookup(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<Self>>;
     /// The kernel `plan` resolved for this type ([`GemmPlan::new`] proves
     /// it exists).
     fn kernel(plan: &GemmPlan) -> KernFn<Self>;
@@ -141,9 +139,6 @@ impl GemmElem for f32 {
     fn accumulate(acc: f32, v: f32) -> f32 {
         acc + v
     }
-    fn lookup(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<f32>> {
-        kernel_for(level, mr, nr)
-    }
     fn kernel(plan: &GemmPlan) -> KernFn<f32> {
         plan.kern
     }
@@ -164,9 +159,6 @@ impl GemmElem for i8 {
     #[inline(always)]
     fn accumulate(acc: i32, v: i32) -> i32 {
         acc.wrapping_add(v)
-    }
-    fn lookup(level: SimdLevel, mr: usize, nr: usize) -> Option<KernFn<i8>> {
-        kernel_i8_for(level, mr, nr)
     }
     fn kernel(plan: &GemmPlan) -> KernFn<i8> {
         plan.kern_i8
@@ -255,8 +247,8 @@ impl<P: Copy + Default> PanelBuf<P> {
 }
 
 /// Packs the `mcb × kcb` block of `a` at `(i0, p0)` into `MR`-interleaved
-/// k-group panels: panel `ib` holds rows `i0 + ib·mr ..`, laid out
-/// `dst[ib·kp·mr + g·mr·G + ii·G + s] = a[i0 + ib·mr + ii, p0 + g·G + s]`
+/// k-group panels: panel `ib` holds rows `i0 + ib·MR ..`, laid out
+/// `dst[ib·kp·MR + g·MR·G + ii·G + s] = a[i0 + ib·MR + ii, p0 + g·G + s]`
 /// with `G = E::KG` and `kp` = `kcb` rounded up to whole k-groups.
 /// Ragged final panels and the last k-group's tail are zero-padded.
 fn pack_a<E: GemmElem>(
@@ -265,20 +257,14 @@ fn pack_a<E: GemmElem>(
     p0: usize,
     mcb: usize,
     kcb: usize,
-    mr: usize,
     dst: &mut [E::Packed],
 ) {
-    match mr {
-        4 => pack_panels::<E, 4>(a, i0, p0, mcb, kcb, dst),
-        6 => pack_panels::<E, 6>(a, i0, p0, mcb, kcb, dst),
-        8 => pack_panels::<E, 8>(a, i0, p0, mcb, kcb, dst),
-        _ => unreachable!("MR = {mr} is not in SUPPORTED_TILES"),
-    }
+    pack_panels::<E, MR>(a, i0, p0, mcb, kcb, dst);
 }
 
 /// Packs the `kcb × ncb` block of `b` at `(p0, j0)` into `NR`-column
-/// k-group panels: panel `jb` holds columns `j0 + jb·nr ..`, laid out
-/// `dst[jb·kp·nr + g·nr·G + jj·G + s] = b[p0 + g·G + s, j0 + jb·nr + jj]`,
+/// k-group panels: panel `jb` holds columns `j0 + jb·NR ..`, laid out
+/// `dst[jb·kp·NR + g·NR·G + jj·G + s] = b[p0 + g·G + s, j0 + jb·NR + jj]`,
 /// zero-padded on the ragged column edge and the last k-group's tail.
 /// This is A's panel layout over `bᵀ`.
 fn pack_b<E: GemmElem>(
@@ -287,14 +273,9 @@ fn pack_b<E: GemmElem>(
     j0: usize,
     kcb: usize,
     ncb: usize,
-    nr: usize,
     dst: &mut [E::Packed],
 ) {
-    match nr {
-        8 => pack_panels::<E, 8>(b.t(), j0, p0, ncb, kcb, dst),
-        16 => pack_panels::<E, 16>(b.t(), j0, p0, ncb, kcb, dst),
-        _ => unreachable!("NR = {nr} is not in SUPPORTED_TILES"),
-    }
+    pack_panels::<E, NR>(b.t(), j0, p0, ncb, kcb, dst);
 }
 
 /// Packs `lanes × kcb` of `v` from `(l0, p0)` into panels `W` lanes
@@ -412,19 +393,18 @@ fn gemm_blocked<E: GemmElem>(
     b: MatRef<'_, E>,
     out: &mut [E::Acc],
 ) {
-    let cfg = plan.cfg;
-    let (mr, nr, kc, mc, nc) = (cfg.mr, cfg.nr, cfg.kc, cfg.mc, cfg.nc);
+    let TileConfig { kc, mc, nc } = plan.cfg;
     let kern = E::kernel(plan);
     // Reduction steps of the largest block, padded to whole k-groups.
     let kp_max = kc.min(k).div_ceil(E::KG) * E::KG;
 
-    let mut bp_buf = PanelBuf::new(kp_max * nc.min(n).div_ceil(nr) * nr);
+    let mut bp_buf = PanelBuf::new(kp_max * nc.min(n).div_ceil(NR) * NR);
     let mut ap_buf = PanelBuf::new(match a {
-        ASource::View(_) => kp_max * mc.min(rows).div_ceil(mr) * mr,
+        ASource::View(_) => kp_max * mc.min(rows).div_ceil(MR) * MR,
         ASource::Packed(_) => 0,
     });
     let (bp, ap) = (bp_buf.as_mut(), ap_buf.as_mut());
-    let mut scratch = [E::Acc::default(); MAX_MR * MAX_NR];
+    let mut scratch = [E::Acc::default(); MR * NR];
 
     let mut jc = 0;
     while jc < n {
@@ -435,7 +415,7 @@ fn gemm_blocked<E: GemmElem>(
             let kcb = kc.min(k - pc);
             let kp = kcb.div_ceil(E::KG) * E::KG;
             let groups = kp / E::KG;
-            pack_b(b, pc, jc, kcb, ncb, nr, bp);
+            pack_b(b, pc, jc, kcb, ncb, bp);
             // After the first reduction block, micro-kernels add into C.
             let acc = pci > 0;
             let mut ic = 0;
@@ -444,24 +424,24 @@ fn gemm_blocked<E: GemmElem>(
                 let mcb = mc.min(rows - ic);
                 let a_panels: &[E::Packed] = match &a {
                     ASource::View(v) => {
-                        pack_a(*v, ic, pc, mcb, kcb, mr, ap);
+                        pack_a(*v, ic, pc, mcb, kcb, ap);
                         ap
                     }
                     ASource::Packed(p) => p.block(pci, ici),
                 };
                 let mut jr = 0;
                 while jr < ncb {
-                    let nrb = nr.min(ncb - jr);
-                    let bpanel = &bp[(jr / nr) * kp * nr..];
+                    let nrb = NR.min(ncb - jr);
+                    let bpanel = &bp[(jr / NR) * kp * NR..];
                     let mut ir = 0;
                     while ir < mcb {
-                        let mrb = mr.min(mcb - ir);
-                        let apanel = &a_panels[(ir / mr) * kp * mr..];
+                        let mrb = MR.min(mcb - ir);
+                        let apanel = &a_panels[(ir / MR) * kp * MR..];
                         let (row, col) = (ic + ir, jc + jr);
-                        if mrb == mr && nrb == nr {
-                            // SAFETY: apanel/bpanel hold ≥ kp·mr / kp·nr
+                        if mrb == MR && nrb == NR {
+                            // SAFETY: apanel/bpanel hold ≥ kp·MR / kp·NR
                             // elements (full panels exist for full tiles);
-                            // rows row..row+mr and cols col..col+nr are in
+                            // rows row..row+MR and cols col..col+NR are in
                             // bounds, so every write `i·n + j` from the
                             // tile base stays inside `out`.
                             unsafe {
@@ -479,21 +459,21 @@ fn gemm_blocked<E: GemmElem>(
                             // tile into scratch, then copy/add the valid
                             // `mrb × nrb` corner.
                             // SAFETY: panels as above (zero-padded to full
-                            // size); scratch holds MAX_MR·MAX_NR ≥ mr·nr
-                            // elements at ldc = nr.
+                            // size); scratch holds MR·NR elements at
+                            // ldc = NR.
                             unsafe {
                                 kern(
                                     groups,
                                     apanel.as_ptr(),
                                     bpanel.as_ptr(),
                                     scratch.as_mut_ptr(),
-                                    nr,
+                                    NR,
                                     false,
                                 );
                             }
                             for ii in 0..mrb {
                                 let o = (row + ii) * n + col;
-                                let s = &scratch[ii * nr..ii * nr + nrb];
+                                let s = &scratch[ii * NR..ii * NR + nrb];
                                 if acc {
                                     for (ov, &sv) in out[o..o + nrb].iter_mut().zip(s) {
                                         *ov = E::accumulate(*ov, sv);
@@ -503,9 +483,9 @@ fn gemm_blocked<E: GemmElem>(
                                 }
                             }
                         }
-                        ir += mr;
+                        ir += MR;
                     }
-                    jr += nr;
+                    jr += NR;
                 }
                 ic += mc;
                 ici += 1;
@@ -536,7 +516,7 @@ fn run<E: GemmElem>(
         out.fill(E::Acc::default());
         return;
     }
-    let min_rows = 4 * plan.cfg.mr;
+    let min_rows = 4 * MR;
     if pool.threads() == 1 || m * n * k < PAR_MIN_MACS {
         gemm_blocked(plan, m, k, n, ASource::View(a), b, out);
     } else {
@@ -597,7 +577,13 @@ pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]
     gemm(m, k, n, a, b, out, pool);
 }
 
-/// [`gemm`] with an explicit plan (used by the autotuner and parity tests).
+/// [`gemm`] with an explicit plan.
+///
+/// The `*_with_plan` entry points exist for the parity suites, which
+/// run the scalar level next to the detected one in one process, and
+/// with block sizes small enough that small shapes cross every block
+/// edge (see [`GemmPlan::new`]). Every other caller runs
+/// [`active_plan`] through [`gemm`].
 ///
 /// # Panics
 ///
@@ -648,7 +634,8 @@ pub fn gemm_at<E: GemmElem>(
     gemm_at_with_plan(active_plan(), m, k, n, a, b, out, pool);
 }
 
-/// [`gemm_at`] with an explicit plan.
+/// [`gemm_at`] with an explicit plan, for the parity suites (see
+/// [`gemm_with_plan`]).
 ///
 /// # Panics
 ///
@@ -692,7 +679,8 @@ pub fn gemm_bt<E: GemmElem>(
     gemm_bt_with_plan(active_plan(), m, k, n, a, b, out, pool);
 }
 
-/// [`gemm_bt`] with an explicit plan.
+/// [`gemm_bt`] with an explicit plan, for the parity suites (see
+/// [`gemm_with_plan`]).
 ///
 /// # Panics
 ///
@@ -756,7 +744,7 @@ impl<E: GemmElem> PackedA<E> {
     }
 
     fn pack_view(plan: &GemmPlan, m: usize, k: usize, a: MatRef<'_, E>) -> Self {
-        let (mr, kc, mc) = (plan.cfg.mr, plan.cfg.kc, plan.cfg.mc);
+        let TileConfig { kc, mc, .. } = plan.cfg;
         let n_pc = k.div_ceil(kc);
         let n_ic = m.div_ceil(mc);
         let mut data = Vec::new();
@@ -768,10 +756,10 @@ impl<E: GemmElem> PackedA<E> {
                 let ic = ici * mc;
                 let mcb = mc.min(m - ic);
                 offsets.push(data.len());
-                let len = mcb.div_ceil(mr) * kcb.div_ceil(E::KG) * E::KG * mr;
+                let len = mcb.div_ceil(MR) * kcb.div_ceil(E::KG) * E::KG * MR;
                 data.resize(data.len() + len, E::Packed::default());
                 let start = data.len() - len;
-                pack_a(a, ic, pc, mcb, kcb, mr, &mut data[start..]);
+                pack_a(a, ic, pc, mcb, kcb, &mut data[start..]);
             }
         }
         offsets.push(data.len());
@@ -863,8 +851,7 @@ pub fn transpose<T: Copy>(src: &[T], rows: usize, cols: usize, dst: &mut [T]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::microkernel::SUPPORTED_TILES;
-    use crate::tune::TileConfig;
+    use crate::microkernel::{simd_level, SimdLevel};
     use proptest::prelude::*;
     use std::fmt::Debug;
 
@@ -941,48 +928,32 @@ mod tests {
         dst
     }
 
-    /// Plans covering all supported tiles, degenerate blocking (every
-    /// block boundary exercised; odd `kc` leaves an i8 k-pair tail in
-    /// every block) and the active level's defaults.
+    /// Plans at the scalar and the detected level with degenerate
+    /// blocking (every block boundary exercised; odd `kc` leaves an i8
+    /// k-pair tail in every block), moderate blocking (partial edge
+    /// blocks on test shapes) and the level's own block sizes.
     fn test_plans() -> Vec<GemmPlan> {
         let mut levels = vec![SimdLevel::Scalar];
-        let detected = crate::microkernel::simd_level();
-        if detected != SimdLevel::Scalar {
-            levels.push(detected);
+        if simd_level() != SimdLevel::Scalar {
+            levels.push(simd_level());
         }
         let mut plans = Vec::new();
         for level in levels {
-            for &(mr, nr) in &SUPPORTED_TILES {
-                // Tiny blocks: many KC/MC/NC iterations even on small inputs.
-                plans.push(
-                    GemmPlan::new(
-                        level,
-                        TileConfig {
-                            mr,
-                            nr,
-                            kc: 3,
-                            mc: mr,
-                            nc: nr,
-                        },
-                    )
-                    .unwrap(),
-                );
-                // Moderate blocks: partial edge blocks on test shapes.
-                plans.push(
-                    GemmPlan::new(
-                        level,
-                        TileConfig {
-                            mr,
-                            nr,
-                            kc: 16,
-                            mc: 2 * mr + 1,
-                            nc: 2 * nr + 3,
-                        },
-                    )
-                    .unwrap(),
-                );
+            for cfg in [
+                TileConfig {
+                    kc: 3,
+                    mc: MR,
+                    nc: NR,
+                },
+                TileConfig {
+                    kc: 16,
+                    mc: 2 * MR + 1,
+                    nc: 2 * NR + 3,
+                },
+                TileConfig::for_level(level),
+            ] {
+                plans.push(GemmPlan::new(level, cfg).unwrap());
             }
-            plans.push(GemmPlan::new(level, crate::tune::default_profile(level).1).unwrap());
         }
         plans
     }
@@ -1007,7 +978,7 @@ mod tests {
         }
     }
 
-    /// Every plan — scalar and detected level, all tiles, odd/even kc —
+    /// Every plan — scalar and detected level, odd/even kc —
     /// matches naive with equality (exact inputs; for i8 this is the
     /// bitwise parity acceptance criterion).
     fn across_plans<E: TestElem>() {
@@ -1162,11 +1133,10 @@ mod tests {
     /// occur, and every slot starts as `POISON`.
     fn pack_a_layout<E: TestElem>(
         (rows, k): (usize, usize),
-        (mri, transposed_view, r0): (usize, bool, usize),
+        (transposed_view, r0): (bool, usize),
         (fi, fm, fp, fk): (f32, f32, f32, f32),
         seed: u32,
     ) -> Result<(), TestCaseError> {
-        let mr = SUPPORTED_TILES[mri].0;
         // Logical A is `[r0 + rows, k]`; the view sees rows `r0..`.
         let a = fill::<E>((r0 + rows) * k, seed);
         let a_t = transposed(&a, r0 + rows, k);
@@ -1179,9 +1149,9 @@ mod tests {
         let (i0, mcb) = span(rows, (fi, fm), 0);
         let (p0, kcb) = span(k, (fp, fk), 1);
         let kp = kcb.div_ceil(E::KG) * E::KG;
-        let mut dst = vec![E::POISON; (mcb.div_ceil(mr) + 1) * kp * mr];
-        pack_a(view, i0, p0, mcb, kcb, mr, &mut dst);
-        check_panels::<E>(&dst, (mcb, kcb, mr), |i, p| {
+        let mut dst = vec![E::POISON; (mcb.div_ceil(MR) + 1) * kp * MR];
+        pack_a(view, i0, p0, mcb, kcb, &mut dst);
+        check_panels::<E>(&dst, (mcb, kcb, MR), |i, p| {
             a[(r0 + i0 + i) * k + p0 + p].widen()
         })
     }
@@ -1192,11 +1162,10 @@ mod tests {
     /// origin as `gemm_blocked` packs when `pc` or `jc` is above 0.
     fn pack_b_layout<E: TestElem>(
         (k, n): (usize, usize),
-        (nri, transposed_view): (usize, bool),
+        transposed_view: bool,
         (fp, fk, fj, fn_): (f32, f32, f32, f32),
         seed: u32,
     ) -> Result<(), TestCaseError> {
-        let nr = SUPPORTED_TILES[nri].1;
         let b = fill::<E>(k * n, seed);
         // The same logical `[k, n]` matrix stored `[n, k]` for `gemm_bt`.
         let b_t = transposed(&b, k, n);
@@ -1208,9 +1177,9 @@ mod tests {
         let (p0, kcb) = span(k, (fp, fk), 1);
         let (j0, ncb) = span(n, (fj, fn_), 0);
         let kp = kcb.div_ceil(E::KG) * E::KG;
-        let mut dst = vec![E::POISON; (ncb.div_ceil(nr) + 1) * kp * nr];
-        pack_b(view, p0, j0, kcb, ncb, nr, &mut dst);
-        check_panels::<E>(&dst, (ncb, kcb, nr), |j, p| {
+        let mut dst = vec![E::POISON; (ncb.div_ceil(NR) + 1) * kp * NR];
+        pack_b(view, p0, j0, kcb, ncb, &mut dst);
+        check_panels::<E>(&dst, (ncb, kcb, NR), |j, p| {
             b[(p0 + p) * n + j0 + j].widen()
         })
     }
@@ -1287,7 +1256,7 @@ mod tests {
                 #[test]
                 fn pack_a_layout_invariant(
                     shape in (0usize..20, 1usize..24),
-                    view in (0usize..SUPPORTED_TILES.len(), any::<bool>(), 0usize..5),
+                    view in (any::<bool>(), 0usize..5),
                     block in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
                     seed in 0u32..1000,
                 ) {
@@ -1297,7 +1266,7 @@ mod tests {
                 #[test]
                 fn pack_b_layout_invariant(
                     shape in (1usize..24, 0usize..40),
-                    view in (0usize..SUPPORTED_TILES.len(), any::<bool>()),
+                    view in any::<bool>(),
                     block in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
                     seed in 0u32..1000,
                 ) {

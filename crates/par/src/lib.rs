@@ -11,13 +11,15 @@
 //!   panic propagation. No external dependencies (the build environment is
 //!   offline, matching the `shims/` precedent).
 //! * [`gemm`], [`gemm_at`], [`gemm_bt`] — three-level cache-blocked
-//!   matrix multiplies: a runtime-selected SIMD micro-kernel (AVX2/FMA
-//!   on x86_64, portable scalar fallback — see [`SimdLevel`]) under
-//!   KC/MC/NC panel blocking with packed-operand reuse, parameterized by
-//!   a tunable [`GemmPlan`] (see [`active_plan`] and the `cq-tune`
-//!   crate). The transposed variants pack their transposed operand
-//!   directly — no scratch transpose. One driver serves every
-//!   [`GemmElem`]: `f32`, and the dequantization-free `i8` path
+//!   matrix multiplies: a runtime-selected SIMD micro-kernel over a
+//!   fixed 6 × 16 register tile (AVX2/FMA on x86_64, portable scalar
+//!   fallback — see [`SimdLevel`]) under KC/MC/NC panel blocking with
+//!   packed-operand reuse. Each SIMD level has one [`GemmPlan`], whose
+//!   block sizes are constants ([`TileConfig::for_level`]);
+//!   [`active_plan`] is the detected level's. The transposed variants
+//!   pack their transposed operand directly — no scratch transpose. One
+//!   driver serves every [`GemmElem`]: `f32`, and the
+//!   dequantization-free `i8` path
 //!   (i8×i8→i32 with AVX2 `vpmaddwd` / VNNI micro-kernels that retire
 //!   two reduction steps per instruction, and a scalar fallback that
 //!   reproduces their wrapping-i32 semantics exactly). Integer
@@ -80,10 +82,7 @@ pub use gemm::{
     gemm, gemm_at, gemm_at_with_plan, gemm_bt, gemm_bt_with_plan, gemm_i8, gemm_prepacked,
     gemm_with_plan, transpose, GemmElem, PackedA,
 };
-pub use microkernel::{simd_level, SimdLevel, SUPPORTED_TILES};
+pub use microkernel::{simd_level, SimdLevel};
 pub use pool::Pool;
 pub use queue::{BatchRejected, BoundedQueue};
-pub use tune::{
-    active_plan, default_profile, describe_active_plan, parse_profile, render_profile, GemmPlan,
-    TileConfig,
-};
+pub use tune::{active_plan, describe_active_plan, GemmPlan, TileConfig};

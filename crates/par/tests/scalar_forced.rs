@@ -39,10 +39,9 @@ fn scalar_checks() {
     assert_eq!(cq_par::simd_level(), SimdLevel::Scalar);
     let plan = cq_par::active_plan();
     assert_eq!(plan.simd, SimdLevel::Scalar);
-    assert!(
-        cq_par::describe_active_plan().starts_with("scalar "),
-        "{}",
-        cq_par::describe_active_plan()
+    assert_eq!(
+        cq_par::describe_active_plan(),
+        "scalar 6x16 kc=128 mc=72 nc=512"
     );
 
     // Exact-valued inputs (1/16 steps): the forced scalar path must match

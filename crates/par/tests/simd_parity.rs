@@ -1,4 +1,4 @@
-//! Parity proptests for every (micro-kernel × blocking × thread-count)
+//! Parity proptests for every (SIMD level × blocking × thread-count)
 //! combination: the blocked GEMM variants must match a naive ascending-k
 //! oracle within the backend-parity tolerance `k · amax · bmax · 8ε`
 //! (the FMA kernels skip one rounding per step; the scalar kernels and
@@ -10,7 +10,7 @@
 
 use cq_par::{
     gemm_at_with_plan, gemm_bt_with_plan, gemm_prepacked, gemm_with_plan, simd_level, transpose,
-    GemmPlan, PackedA, Pool, SimdLevel, TileConfig, SUPPORTED_TILES,
+    GemmPlan, PackedA, Pool, SimdLevel, TileConfig,
 };
 use proptest::prelude::*;
 
@@ -48,33 +48,28 @@ fn levels() -> Vec<SimdLevel> {
     ls
 }
 
-/// All plans under test: every supported tile at every runnable level,
-/// each with blocking configs that force multiple KC/MC/NC iterations
-/// (kc = 5 guarantees several reduction blocks even on small k).
+/// All plans under test: every runnable level with blocking configs
+/// that force multiple KC/MC/NC iterations (kc = 5 guarantees several
+/// reduction blocks even on small k; mc = 6, nc = 16 is one 6 × 16
+/// register tile per block), and with its own block sizes.
 fn plans() -> Vec<GemmPlan> {
     let mut out = Vec::new();
     for level in levels() {
-        for &(mr, nr) in &SUPPORTED_TILES {
-            for cfg in [
-                TileConfig {
-                    mr,
-                    nr,
-                    kc: 5,
-                    mc: mr,
-                    nc: nr,
-                },
-                TileConfig {
-                    mr,
-                    nr,
-                    kc: 32,
-                    mc: 3 * mr,
-                    nc: 2 * nr,
-                },
-            ] {
-                out.push(GemmPlan::new(level, cfg).expect("valid test plan"));
-            }
+        for cfg in [
+            TileConfig {
+                kc: 5,
+                mc: 6,
+                nc: 16,
+            },
+            TileConfig {
+                kc: 32,
+                mc: 18,
+                nc: 32,
+            },
+            TileConfig::for_level(level),
+        ] {
+            out.push(GemmPlan::new(level, cfg).expect("valid test plan"));
         }
-        out.push(GemmPlan::new(level, cq_par::default_profile(level).1).expect("default plan"));
     }
     out
 }

@@ -6,7 +6,7 @@
 //!   loops, kept as the bit-accurate reference.
 //! * [`Backend::Fast`] — `cq-par`'s three-level blocked GEMM (SIMD
 //!   micro-kernel under KC/MC/NC panel blocking, selected by `CQ_SIMD`
-//!   and the committed tune profile — see
+//!   with that level's constant block sizes — see
 //!   [`cq_par::describe_active_plan`]) and im2col convolution,
 //!   parallelized over the global worker pool.
 //!

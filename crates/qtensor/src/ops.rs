@@ -44,6 +44,10 @@ impl Conv2dParams {
     }
 
     /// Output spatial size for an input size and kernel size.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero stride; the conv ops reject one first.
     pub fn output_dim(&self, input: usize, kernel: usize) -> usize {
         (input + 2 * self.padding).saturating_sub(kernel) / self.stride + 1
     }
@@ -228,6 +232,17 @@ fn check_rank4(t: &Tensor, op: &'static str) -> Result<(), TensorError> {
     Ok(())
 }
 
+/// Rejects a zero stride, for which [`Conv2dParams::output_dim`] is
+/// undefined.
+fn check_stride(params: Conv2dParams, op: &str) -> Result<(), TensorError> {
+    if params.stride == 0 {
+        return Err(TensorError::InvalidArgument(format!(
+            "{op}: stride must be positive"
+        )));
+    }
+    Ok(())
+}
+
 /// Valid kernel-offset range `[lo, hi)` for output position `o`: the `k`
 /// whose input coordinate `o*s + k - p` lands inside `[0, input)`.
 /// Hoisting this out of the per-pixel loops removes the bounds branch
@@ -287,7 +302,7 @@ fn par_shape(
 /// # Errors
 ///
 /// Returns a rank or shape error if the operands do not describe a valid
-/// convolution.
+/// convolution, and [`TensorError::InvalidArgument`] for a zero stride.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -309,6 +324,7 @@ pub fn conv2d_with(
 ) -> Result<Tensor, TensorError> {
     check_rank4(input, "conv2d")?;
     check_rank4(weight, "conv2d")?;
+    check_stride(params, "conv2d")?;
     let [n, c, h, w] = four(input);
     let [f, cw, kh, kw] = four(weight);
     if c != cw {
@@ -367,7 +383,8 @@ pub fn conv2d_with(
 ///
 /// # Errors
 ///
-/// Returns a rank or shape error on malformed operands.
+/// Returns a rank or shape error on malformed operands, and
+/// [`TensorError::InvalidArgument`] for a zero stride.
 pub fn conv2d_grad_input(
     grad_output: &Tensor,
     weight: &Tensor,
@@ -391,6 +408,7 @@ pub fn conv2d_grad_input_with(
 ) -> Result<Tensor, TensorError> {
     check_rank4(grad_output, "conv2d_grad_input")?;
     check_rank4(weight, "conv2d_grad_input")?;
+    check_stride(params, "conv2d_grad_input")?;
     if input_dims.len() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -455,7 +473,8 @@ pub fn conv2d_grad_input_with(
 ///
 /// # Errors
 ///
-/// Returns a rank or shape error on malformed operands.
+/// Returns a rank or shape error on malformed operands, and
+/// [`TensorError::InvalidArgument`] for a zero stride.
 pub fn conv2d_grad_weight(
     input: &Tensor,
     grad_output: &Tensor,
@@ -479,6 +498,7 @@ pub fn conv2d_grad_weight_with(
 ) -> Result<Tensor, TensorError> {
     check_rank4(input, "conv2d_grad_weight")?;
     check_rank4(grad_output, "conv2d_grad_weight")?;
+    check_stride(params, "conv2d_grad_weight")?;
     if weight_dims.len() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -605,7 +625,8 @@ pub fn maxpool2d(input: &Tensor, k: usize) -> Result<MaxPoolOutput, TensorError>
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] if `argmax` length differs from
-/// `grad_output` length.
+/// `grad_output` length, or if an `argmax` index lies past the
+/// `input_dims` tensor.
 pub fn maxpool2d_backward(
     grad_output: &Tensor,
     argmax: &[usize],
@@ -620,8 +641,13 @@ pub fn maxpool2d_backward(
     }
     let mut gin = Tensor::zeros(input_dims);
     let gid = gin.data_mut();
+    let len = gid.len();
     for (&src, &g) in argmax.iter().zip(grad_output.data()) {
-        gid[src] += g;
+        *gid.get_mut(src).ok_or_else(|| {
+            TensorError::InvalidArgument(format!(
+                "argmax index {src} past the input's {len} elements"
+            ))
+        })? += g;
     }
     Ok(gin)
 }
@@ -829,6 +855,17 @@ mod tests {
         assert_eq!(gin.get(&[0, 0, 2, 1]).unwrap(), 3.0); // where 0.0 was
         assert_eq!(gin.get(&[0, 0, 3, 2]).unwrap(), 4.0); // where 0.75 was
         assert_eq!(gin.sum(), 10.0);
+        // An argmax past the input, or one of the wrong length, is an
+        // error rather than an out-of-bounds write.
+        let err = maxpool2d_backward(&gout, &[5, 99, 7, 14], input.dims()).unwrap_err();
+        assert!(
+            matches!(&err, TensorError::InvalidArgument(m) if m.contains("99")),
+            "{err:?}"
+        );
+        assert!(matches!(
+            maxpool2d_backward(&gout, &argmax[..3], input.dims()),
+            Err(TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]
@@ -862,6 +899,27 @@ mod tests {
         let input = Tensor::ones(&[1, 1, 2, 2]);
         assert!(maxpool2d(&input, 0).is_err());
         assert!(maxpool2d(&input, 3).is_err());
+    }
+
+    #[test]
+    fn conv_ops_reject_zero_stride() {
+        let x = Tensor::ones(&[1, 1, 4, 4]);
+        let w = Tensor::ones(&[1, 1, 3, 3]);
+        let g = Tensor::ones(&[1, 1, 2, 2]);
+        let p = Conv2dParams::new(0, 0);
+        for be in [Backend::Naive, Backend::Fast] {
+            let results = [
+                conv2d_with(be, &x, &w, p),
+                conv2d_grad_input_with(be, &g, &w, x.dims(), p),
+                conv2d_grad_weight_with(be, &x, &g, w.dims(), p),
+            ];
+            for r in results {
+                assert!(
+                    matches!(&r, Err(TensorError::InvalidArgument(m)) if m.contains("stride")),
+                    "{be:?}: {r:?}"
+                );
+            }
+        }
     }
 
     #[test]
