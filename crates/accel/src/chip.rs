@@ -25,7 +25,7 @@ use crate::squ::Squ;
 use cq_mem::{DdrModel, Dir};
 use cq_ndp::{NdpEngine, OptimizerKind};
 use cq_sim::hwcost::{acceleration_core_cost, ndp_engine_cost, DRAM_STANDBY_MW};
-use cq_sim::mapping::{Mapping, MappingPolicy, MatShape};
+use cq_sim::mapping::{Mapping, MatShape};
 use cq_sim::{
     CacheStats, Component, EnergyBreakdown, EnergyModel, HwCostCache, HwCostKey, Phase,
     PhaseBreakdown, SimResult,
@@ -63,6 +63,20 @@ pub fn sim_cache_stats() -> CacheStats {
     sim_cache().stats()
 }
 
+/// Which mapping every simulated layer charges its MAC phases through.
+/// A chip's policy is fixed when it is built: [`CambriconQ::new`] takes
+/// the default, [`CambriconQ::with_mapping`] either one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MappingPolicy {
+    /// The streaming default ([`Mapping::streaming_default`]) for every
+    /// layer, byte-identical to the pre-mapping simulator. Every paper
+    /// figure runs on it.
+    Default,
+    /// The memoized per-layer search winner over the capacity-legal
+    /// space ([`crate::mapping_search::search_layer`]).
+    Search,
+}
+
 /// The Cambricon-Q chip simulator.
 ///
 /// # Examples
@@ -87,13 +101,14 @@ pub struct CambriconQ {
 }
 
 impl CambriconQ {
-    /// A chip with the given configuration and the process-wide
-    /// `CQ_MAPPING` mapping policy (default when unset).
+    /// A chip with the given configuration and the streaming default
+    /// mapping ([`MappingPolicy::Default`]).
     pub fn new(config: CqConfig) -> Self {
-        CambriconQ::with_mapping(config, cq_sim::mapping::env_policy().clone())
+        CambriconQ::with_mapping(config, MappingPolicy::Default)
     }
 
-    /// A chip with an explicit mapping policy, bypassing `CQ_MAPPING`.
+    /// A chip with an explicit mapping policy, the one way onto
+    /// [`MappingPolicy::Search`].
     pub fn with_mapping(config: CqConfig, mapping: MappingPolicy) -> Self {
         let pe = PeArray::new(&config);
         let squ = Squ::new(&config);
@@ -119,53 +134,6 @@ impl CambriconQ {
     /// Quantized element size in bytes (0.5 for INT4, 1 for INT8, ...).
     fn qbytes(&self) -> f64 {
         self.config.train_format.bytes()
-    }
-
-    /// Simulates one *inference* minibatch: the forward pass only (§VII.C
-    /// notes the same 4-bit PEs serve 4-bit inference models directly).
-    pub fn simulate_inference(&self, net: &Network) -> SimResult {
-        let mut mem = DdrModel::new(self.config.ddr);
-        let mut phases = PhaseBreakdown::new();
-        let mut energy = EnergyBreakdown::new();
-        let batch = net.batch_size;
-        for layer in &net.layers {
-            let inputs = layer.input_count() * batch as u64;
-            let outputs = layer.output_count() * batch as u64;
-            let weights = layer.weight_count();
-            let matmuls = layer.as_matmuls(batch);
-            let mapping = self.layer_mapping(net, layer, batch);
-            let me = self.eval_mapping(&mapping, &matmuls);
-            let (compute, compute_cycles) = self.layer_compute(&matmuls, me.kfold);
-            let mut reads = vec![
-                (inputs * me.f_in, self.qbytes()),
-                (weights * me.f_w, self.qbytes()),
-            ];
-            let mut writes = vec![(outputs, self.qbytes())];
-            push_spills(&mut reads, &mut writes, me.spill_elems);
-            self.charge_mac_phase(
-                Phase::Forward,
-                compute_cycles,
-                compute.energy_pj,
-                &reads,
-                &writes,
-                0, // inference weights are stored pre-quantized
-                &mut mem,
-                &mut phases,
-                &mut energy,
-            );
-        }
-        let seconds = phases.total_cycles() as f64 / (self.config.freq_ghz * 1e9);
-        energy.charge(
-            Component::DdrStandby,
-            DRAM_STANDBY_MW * 1e9 * seconds * self.config.ddr.bus_bytes as f64 / 8.0,
-        );
-        SimResult::new(
-            format!("{} (inference)", platform_name(&self.config)),
-            net.name.clone(),
-            self.config.freq_ghz,
-            phases,
-            energy,
-        )
     }
 
     /// Simulates one training iteration (one minibatch) of `net`.
@@ -206,12 +174,11 @@ impl CambriconQ {
     ///
     /// The key captures *every* input the simulation reads: the full
     /// `CqConfig` (PE geometry, formats, DDR timing, fault/ECC settings),
-    /// the optimizer, the network description, and the mapping policy
-    /// (including any table contents), rendered via `Debug` — plus a
-    /// canonical IEEE-754 bit section for every float field, because the
-    /// Debug text aliases NaN payloads (and formatter changes could
-    /// alias signed zeros), which would cross-serve cached costs between
-    /// distinct configs. The energy model is a constant (`tsmc45`) and
+    /// the optimizer, the network description, and the mapping policy,
+    /// rendered via `Debug` — plus a canonical IEEE-754 bit section for
+    /// every float field, because the Debug text aliases NaN payloads
+    /// (and formatter changes could alias signed zeros), which would
+    /// cross-serve cached costs between distinct configs. The energy model is a constant (`tsmc45`) and
     /// so needs no key part.
     pub(crate) fn run_key(&self, net: &Network, optimizer: OptimizerKind) -> HwCostKey {
         HwCostKey::new(
@@ -240,10 +207,6 @@ impl CambriconQ {
 
     /// The memoized whole-iteration run for this (config, optimizer, net,
     /// mapping policy), keyed by [`CambriconQ::cache_key`].
-    ///
-    /// Inference ([`CambriconQ::simulate_inference`]) and external-baseline
-    /// simulations are deliberately uncached: they are not re-invoked with
-    /// identical inputs inside sweeps often enough to matter.
     fn cached_run(&self, net: &Network, optimizer: OptimizerKind) -> Arc<CachedRun> {
         let key = self.run_key(net, optimizer);
         sim_cache().get_or_compute(key, || self.fresh_run(net, optimizer))
@@ -380,18 +343,11 @@ impl CambriconQ {
     }
 
     /// The mapping this layer's phases charge through, resolved from the
-    /// chip's policy: the streaming default, a table entry (a missing
-    /// entry aborts — a silently defaulted layer would invalidate any
-    /// mapping comparison), or the memoized per-layer search winner.
+    /// chip's policy: the streaming default or the memoized per-layer
+    /// search winner.
     fn layer_mapping(&self, net: &Network, layer: &cq_workloads::Layer, batch: usize) -> Mapping {
-        match &self.mapping {
+        match self.mapping {
             MappingPolicy::Default => Mapping::streaming_default(),
-            MappingPolicy::Table(t) => *t.get(&net.name, &layer.name).unwrap_or_else(|| {
-                panic!(
-                    "CQ_MAPPING table has no entry for {}/{}",
-                    net.name, layer.name
-                )
-            }),
             MappingPolicy::Search => {
                 crate::mapping_search::search_layer(self, &net.name, batch, layer).mapping
             }
@@ -430,13 +386,10 @@ impl CambriconQ {
     }
 
     /// Sums the PE cost of a layer's matmuls with their serial repeats
-    /// applied (the fold previously duplicated across
-    /// [`CambriconQ::simulate_inference`] and the training iteration):
-    /// the returned [`PeCost`] accumulates repeat-scaled cycles, energy
-    /// and MACs, and the `u64` is the compute-cycle total charged to
-    /// each MAC phase. `kfold` is the mapping's PE-level reduction fold
-    /// (1 = the legacy sweep).
-    fn layer_compute(&self, matmuls: &[cq_workloads::MatmulDims], kfold: u64) -> (PeCost, u64) {
+    /// applied: repeat-scaled cycles (charged to each MAC phase), energy
+    /// and MACs. `kfold` is the mapping's PE-level reduction fold (1 =
+    /// the legacy sweep).
+    fn layer_compute(&self, matmuls: &[cq_workloads::MatmulDims], kfold: u64) -> PeCost {
         let mut total = PeCost::default();
         for mm in matmuls {
             let c = self.pe.matmul_mapped(mm.m, mm.n, mm.k, kfold);
@@ -446,7 +399,7 @@ impl CambriconQ {
                 macs: c.macs * mm.serial_repeats,
             });
         }
-        (total, total.cycles)
+        total
     }
 
     /// Charges the three MAC phases (FW/NG/WG) of one layer through
@@ -469,7 +422,7 @@ impl CambriconQ {
     ) {
         let me = self.eval_mapping(mapping, matmuls);
         // ---- compute cost shared by the three MAC phases ----
-        let (compute, compute_cycles) = self.layer_compute(matmuls, me.kfold);
+        let compute = self.layer_compute(matmuls, me.kfold);
 
         // FW: read I(q) + W(q over bus), write O(q).
         let mut fw_reads = vec![
@@ -480,7 +433,7 @@ impl CambriconQ {
         push_spills(&mut fw_reads, &mut fw_writes, me.spill_elems);
         self.charge_mac_phase(
             Phase::Forward,
-            compute_cycles,
+            compute.cycles,
             compute.energy_pj,
             &fw_reads,
             &fw_writes,
@@ -500,7 +453,7 @@ impl CambriconQ {
         push_spills(&mut ng_reads, &mut ng_writes, me.spill_elems);
         self.charge_mac_phase(
             Phase::NeuronGrad,
-            compute_cycles,
+            compute.cycles,
             compute.energy_pj,
             &ng_reads,
             &ng_writes,
@@ -524,7 +477,7 @@ impl CambriconQ {
         push_spills(&mut wg_reads, &mut wg_writes, me.spill_elems);
         self.charge_mac_phase(
             Phase::WeightGrad,
-            compute_cycles,
+            compute.cycles,
             compute.energy_pj,
             &wg_reads,
             &wg_writes,
@@ -855,29 +808,6 @@ mod tests {
         let fc6 = profile.iter().find(|(n, _)| n == "fc6").unwrap();
         let conv1 = profile.iter().find(|(n, _)| n == "conv1").unwrap();
         assert!(fc6.1.cycles(Phase::WeightUpdate) > conv1.1.cycles(Phase::WeightUpdate) * 10);
-    }
-
-    #[test]
-    fn inference_is_cheaper_than_training() {
-        let chip = CambriconQ::edge();
-        let net = models::squeezenet_v1();
-        let inf = chip.simulate_inference(&net);
-        let train = chip.simulate(&net, sgd());
-        // Training = FW + NG + WG + WU: at least 3x the inference compute.
-        assert!(train.total_cycles() > inf.total_cycles() * 2);
-        assert!(inf.platform.contains("inference"));
-    }
-
-    #[test]
-    fn int4_inference_speedup() {
-        // §VII.C: 4-bit inference models run directly on the 4-bit PEs.
-        let int8 = CambriconQ::edge();
-        let int4 = CambriconQ::new(CqConfig::edge().with_format(IntFormat::Int4));
-        let net = models::resnet18();
-        let s = int4
-            .simulate_inference(&net)
-            .speedup_over(&int8.simulate_inference(&net));
-        assert!(s > 1.8 && s < 4.2, "INT4 inference speedup {s}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod pe;
 mod qbc;
 mod squ;
 
-pub use chip::{clear_sim_cache, sim_cache_stats, CambriconQ};
+pub use chip::{clear_sim_cache, sim_cache_stats, CambriconQ, MappingPolicy};
 pub use compiler::{
     compile_conv_forward, compile_dense_forward, compile_network_forward, compile_weight_update,
     ConvLayout, ConvShape, DenseLayout, UpdateLayout,
@@ -45,6 +45,6 @@ pub use compiler::{
 pub use config::{CqConfig, ScaleVariant};
 pub use exec::{ExecTiming, TimingExecutor};
 pub use machine::{ExecStats, Machine, MachineError};
-pub use mapping_search::{search_layer, search_network, searched_table, LayerSearch};
+pub use mapping_search::{search_layer, search_network, LayerSearch};
 pub use qbc::{BufferLine, Qbc, QbcStats};
 pub use squ::{Squ, SquCost};

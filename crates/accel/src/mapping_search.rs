@@ -1,5 +1,9 @@
 //! Per-layer mapping search over the capacity-legal mapping space.
 //!
+//! A chip built with [`crate::MappingPolicy::Search`] charges every
+//! layer through this search's winner ([`search_layer`]); the
+//! `mapping_search` study compares that chip with the default one.
+//!
 //! The search runs in two stages (`two_stage`): it scores every coarse
 //! candidate, then a refinement neighbourhood of the winner.
 //!
@@ -40,11 +44,11 @@
 //! rows divide the folded row-group more evenly (PTB-LSTM's m = 1000
 //! steps) shave the ragged-tile padding. Less time is also less
 //! standby/static energy. When no legal candidate beats the default on
-//! either axis, the search reports the default itself, so Search/Table
-//! policies never regress a layer.
+//! either axis, the search reports the default itself, so the `Search`
+//! policy never regresses a layer.
 
 use crate::chip::{CambriconQ, LayerMapEval};
-use cq_sim::mapping::{pe_sweep_cycles, LoopOrder, Mapping, MappingTable, MatShape, MemHierarchy};
+use cq_sim::mapping::{pe_sweep_cycles, LoopOrder, Mapping, MatShape, MemHierarchy};
 use cq_sim::{HwCostCache, HwCostKey};
 use cq_workloads::{Layer, MatmulDims, Network};
 use std::cell::RefCell;
@@ -350,8 +354,8 @@ fn run_search(chip: &CambriconQ, layer: &Layer, batch: usize) -> LayerSearch {
         chip.score_layer_mapping(inputs, outputs, weights, &matmuls, &res.best);
     if searched_cycles >= default_cycles && searched_energy_pj >= default_energy_pj {
         // The best legal candidate still loses both axes to the
-        // idealized default: keep the default so Search/Table policies
-        // never regress a layer.
+        // idealized default: keep the default so the Search policy
+        // never regresses a layer.
         return fallback(res.candidates);
     }
     LayerSearch {
@@ -366,6 +370,9 @@ fn run_search(chip: &CambriconQ, layer: &Layer, batch: usize) -> LayerSearch {
 }
 
 /// The memoized searched mapping for one layer of `net_name` at `batch`.
+/// The memo key leaves out the chip's mapping policy, which the search
+/// never reads, so a default chip's [`search_network`] and a `Search`
+/// chip's simulation share one search per layer.
 pub fn search_layer(
     chip: &CambriconQ,
     net_name: &str,
@@ -398,21 +405,11 @@ pub fn search_network(chip: &CambriconQ, net: &Network) -> Vec<Arc<LayerSearch>>
         .collect()
 }
 
-/// The searched mappings of `net` as a table loadable via
-/// `CQ_MAPPING=<file>` (after [`MappingTable::render`] to disk).
-pub fn searched_table(chip: &CambriconQ, net: &Network) -> MappingTable {
-    let mut table = MappingTable::new();
-    for s in search_network(chip, net) {
-        table.insert(&net.name, &s.layer, s.mapping);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chip::MappingPolicy;
     use crate::config::CqConfig;
-    use cq_sim::mapping::MappingPolicy;
     use cq_workloads::models;
 
     #[test]
@@ -525,15 +522,13 @@ mod tests {
     }
 
     #[test]
-    fn searched_table_drives_the_simulator() {
-        // End-to-end: search → table → Table-policy chip. The fc-layer
-        // fold wins must survive into the full training-iteration run.
+    fn search_policy_drives_the_simulator() {
+        // End-to-end: a Search-policy chip. The fc-layer fold wins must
+        // survive into the full training-iteration run.
         let net = models::alexnet();
         let opt = cq_ndp::OptimizerKind::Sgd { lr: 0.01 };
         let default_chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Default);
-        let table = searched_table(&default_chip, &net);
-        assert_eq!(table.len(), net.layers.len());
-        let searched_chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Table(table));
+        let searched_chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Search);
         let d = default_chip.simulate(&net, opt);
         let s = searched_chip.simulate(&net, opt);
         assert!(
@@ -542,32 +537,5 @@ mod tests {
             s.total_cycles(),
             d.total_cycles()
         );
-    }
-
-    #[test]
-    fn search_policy_equals_table_of_searched_mappings() {
-        let net = models::alexnet();
-        let opt = cq_ndp::OptimizerKind::Sgd { lr: 0.01 };
-        let search_chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Search);
-        let base = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Default);
-        let table_chip = CambriconQ::with_mapping(
-            CqConfig::edge(),
-            MappingPolicy::Table(searched_table(&base, &net)),
-        );
-        assert_eq!(
-            search_chip.simulate(&net, opt),
-            table_chip.simulate(&net, opt)
-        );
-    }
-
-    #[test]
-    fn missing_table_entry_aborts() {
-        let net = models::squeezenet_v1();
-        let chip =
-            CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Table(MappingTable::new()));
-        let r = std::panic::catch_unwind(|| {
-            chip.simulate(&net, cq_ndp::OptimizerKind::Sgd { lr: 0.01 })
-        });
-        assert!(r.is_err(), "empty mapping table must abort");
     }
 }

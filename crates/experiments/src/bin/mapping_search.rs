@@ -2,35 +2,29 @@
 //! simulator.
 //!
 //! ```text
-//! mapping_search [--quick] [--out report.txt] [--emit-table table.txt]
+//! mapping_search [--quick] [--out report.txt]
 //! ```
 //!
-//! `--quick` restricts the study to AlexNet + PTB-LSTM (the CI smoke
-//! set); `--emit-table` writes the searched mappings as a table
-//! loadable back via `CQ_MAPPING=<file>`. Exit codes: 0 success,
-//! 2 usage error.
+//! "Searched" is a chip built with `MappingPolicy::Search`. `--quick`
+//! restricts the study to AlexNet + PTB-LSTM (the CI smoke set).
+//! Exit codes: 0 success, 1 unwritable report, 2 usage error.
 
 use cq_experiments::mapping;
 
 struct Args {
     quick: bool,
     out: Option<String>,
-    emit_table: Option<String>,
 }
 
 fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Args, String> {
     let mut out = Args {
         quick: false,
         out: None,
-        emit_table: None,
     };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => out.quick = true,
             "--out" => out.out = Some(args.next().ok_or("--out needs a path")?),
-            "--emit-table" => {
-                out.emit_table = Some(args.next().ok_or("--emit-table needs a path")?)
-            }
             "--profile" => {
                 args.next(); // consumed by profiling::init_for_bin
             }
@@ -47,7 +41,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("mapping_search: {e}");
-            eprintln!("usage: mapping_search [--quick] [--out PATH] [--emit-table PATH]");
+            eprintln!("usage: mapping_search [--quick] [--out PATH]");
             std::process::exit(2);
         }
     };
@@ -75,17 +69,5 @@ fn main() {
             eprintln!("[mapping] report written to {path}");
         }
         None => print!("{report}"),
-    }
-
-    if let Some(path) = &args.emit_table {
-        let table = mapping::emit_table(&nets);
-        if let Err(e) = std::fs::write(path, table.render()) {
-            eprintln!("mapping_search: cannot write table {path:?}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[mapping] {} searched mappings written to {path} (load with CQ_MAPPING={path})",
-            table.len()
-        );
     }
 }

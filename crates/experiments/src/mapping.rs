@@ -3,16 +3,14 @@
 //!
 //! For each benchmark the study (1) runs the per-layer mapping search
 //! ([`cq_accel::search_network`]), (2) simulates a full training
-//! iteration under the default policy and under a table of the searched
-//! mappings, and (3) reports both the per-layer search scores and the
-//! end-to-end latency/energy deltas. The searched table is loadable
-//! back into any binary via `CQ_MAPPING=<file>` (see
-//! [`emit_table`]).
+//! iteration under the default policy and under the `Search` policy,
+//! which charges every layer through its searched mapping, and (3)
+//! reports both the per-layer search scores and the end-to-end
+//! latency/energy deltas.
 
 use crate::perf::default_optimizer;
-use cq_accel::{search_network, searched_table, CambriconQ, CqConfig, LayerSearch};
+use cq_accel::{search_network, CambriconQ, CqConfig, LayerSearch, MappingPolicy};
 use cq_par::Pool;
-use cq_sim::mapping::{MappingPolicy, MappingTable};
 use cq_sim::report::{ratio, TextTable};
 use cq_sim::{geomean, SimResult};
 use cq_workloads::{models, Network};
@@ -28,7 +26,7 @@ pub struct NetMappingReport {
     pub layers: Vec<Arc<LayerSearch>>,
     /// Full training iteration under the streaming default.
     pub baseline: SimResult,
-    /// Full training iteration under the searched mapping table.
+    /// Full training iteration under the `Search` policy.
     pub searched: SimResult,
 }
 
@@ -69,8 +67,7 @@ pub fn run_study(nets: &[Network]) -> Vec<NetMappingReport> {
         let net = &nets[i];
         let baseline_chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Default);
         let layers = search_network(&baseline_chip, net);
-        let table = searched_table(&baseline_chip, net);
-        let searched_chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Table(table));
+        let searched_chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Search);
         NetMappingReport {
             network: net.name.clone(),
             layers,
@@ -147,21 +144,6 @@ pub fn layer_table(report: &NetMappingReport) -> TextTable {
     t
 }
 
-/// All searched mappings of `reports`' networks merged into one table,
-/// renderable to a `CQ_MAPPING=<file>` table via
-/// [`MappingTable::render`]. Searches are memoized, so this is free
-/// after [`run_study`].
-pub fn emit_table(nets: &[Network]) -> MappingTable {
-    let chip = CambriconQ::with_mapping(CqConfig::edge(), MappingPolicy::Default);
-    let mut table = MappingTable::new();
-    for net in nets {
-        for s in search_network(&chip, net) {
-            table.insert(&net.name, &s.layer, s.mapping);
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,15 +173,5 @@ mod tests {
             let lt = layer_table(r).to_string();
             assert!(lt.contains("mapping"));
         }
-    }
-
-    #[test]
-    fn emitted_table_covers_every_layer_and_round_trips() {
-        let nets = benchmark_nets(true);
-        let table = emit_table(&nets);
-        let layers: usize = nets.iter().map(|n| n.layers.len()).sum();
-        assert_eq!(table.len(), layers);
-        let parsed = MappingTable::parse(&table.render()).unwrap();
-        assert_eq!(parsed, table);
     }
 }

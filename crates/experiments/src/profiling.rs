@@ -55,16 +55,14 @@ pub fn flag_path<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<
 ///
 /// Also aborts on any `CQ_*` variable that is not one of
 /// [`cq_obs::KNOBS`] ([`cq_obs::reject_unknown_knobs`]), and
-/// validates `CQ_THREADS`, `CQ_SIMD` and `CQ_MAPPING` eagerly:
-/// pure-simulation binaries never dispatch a dense kernel or start a
-/// pool, so without this a misspelt or removed name (`CQ_THREAD=2`), a
-/// typo like `CQ_THREADS=fuor` or `CQ_SIMD=avx512`, or a malformed
-/// mapping table would pass unremarked.
+/// validates `CQ_THREADS` and `CQ_SIMD` eagerly: pure-simulation
+/// binaries never dispatch a dense kernel or start a pool, so without
+/// this a misspelt or removed name (`CQ_THREAD=2`) or a typo like
+/// `CQ_THREADS=fuor` or `CQ_SIMD=avx512` would pass unremarked.
 pub fn init_for_bin() -> ProfileGuard {
     cq_obs::reject_unknown_knobs();
     let _ = cq_par::Pool::global();
     let _ = cq_par::simd_level();
-    let _ = cq_sim::mapping::env_policy();
     let path = flag_path(std::env::args().skip(1), "--profile");
     match path {
         Some(p) => {

@@ -52,23 +52,19 @@ fn invalid_values_abort_naming_the_variable() {
 }
 
 #[test]
-fn unusable_mapping_tune_file_and_trace_abort_naming_the_variable() {
+fn unwritable_trace_aborts_naming_the_variable() {
     let missing = std::env::temp_dir().join(format!("cq-env-missing-{}", std::process::id()));
     assert!(!missing.exists(), "{}", missing.display());
-    let in_missing = |file: &str| missing.join(file).display().to_string();
-    for (key, value) in [
-        ("CQ_MAPPING", "serach".to_string()),
-        ("CQ_TRACE", in_missing("trace.jsonl")),
-    ] {
-        assert_aborts(key, &value, key);
-    }
+    let trace = missing.join("trace.jsonl").display().to_string();
+    assert_aborts("CQ_TRACE", &trace, "CQ_TRACE");
 }
 
 #[test]
 fn unknown_cq_names_abort_naming_them() {
     // Names that no longer exist, and a misspelling of CQ_THREADS. A
     // stale CQ_QUANT_PATH=int8 must stop the run, not train on the f32
-    // path it no longer selects.
+    // path it no longer selects, and a stale CQ_MAPPING=search must not
+    // silently simulate the default mapping.
     for (key, value) in [
         ("CQ_BACKEND", "naive"),
         ("CQ_HWCACHE", "off"),
@@ -76,6 +72,7 @@ fn unknown_cq_names_abort_naming_them() {
         ("CQ_SWEEP_JOURNAL", "base"),
         ("CQ_QUANT_PATH", "int8"),
         ("CQ_TUNE_FILE", "crates/par/profiles/avx2.profile"),
+        ("CQ_MAPPING", "search"),
         ("CQ_THREAD", "2"),
     ] {
         assert_aborts(

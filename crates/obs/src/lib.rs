@@ -144,9 +144,8 @@ pub fn init_to_path(path: &str) -> std::io::Result<()> {
 }
 
 /// The `CQ_*` environment variables the workspace reads:
-/// `CQ_THREADS` and `CQ_SIMD` (cq-par), `CQ_MAPPING` (cq-sim) and
-/// `CQ_TRACE` (this crate).
-pub const KNOBS: [&str; 4] = ["CQ_THREADS", "CQ_SIMD", "CQ_MAPPING", "CQ_TRACE"];
+/// `CQ_THREADS` and `CQ_SIMD` (cq-par) and `CQ_TRACE` (this crate).
+pub const KNOBS: [&str; 3] = ["CQ_THREADS", "CQ_SIMD", "CQ_TRACE"];
 
 /// Panics on the first `CQ_*` environment variable that is not one of
 /// [`KNOBS`], naming it and listing the knobs. Binaries call this before

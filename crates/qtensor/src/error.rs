@@ -54,12 +54,6 @@ pub enum TensorError {
     },
     /// A configuration parameter was invalid (zero dims, bad stride, ...).
     InvalidArgument(String),
-    /// The tensor holds a NaN or infinite element where finite data is
-    /// required (e.g. after fault injection).
-    NonFinite {
-        /// Flat index of the first offending element.
-        index: usize,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -82,9 +76,6 @@ impl fmt::Display for TensorError {
                 write!(f, "{op} expects rank {expected}, got rank {actual}")
             }
             TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
-            TensorError::NonFinite { index } => {
-                write!(f, "non-finite value at flat index {index}")
-            }
         }
     }
 }

@@ -97,7 +97,7 @@ pub fn matmul_with(backend: Backend, a: &Tensor, b: &Tensor) -> Result<Tensor, T
         Backend::Fast => cq_par::gemm(m, k, n, ad, bd, od, Pool::global()),
         Backend::Naive => {
             // No zero-skip: `0·NaN` must stay NaN so non-finite operands
-            // surface through TensorError::NonFinite checks downstream.
+            // stay visible downstream.
             for i in 0..m {
                 for p in 0..k {
                     let av = ad[i * k + p];
@@ -676,8 +676,8 @@ mod tests {
     }
 
     /// Regression: the old kernels skipped `a == 0.0` operands, silently
-    /// yielding `0` where `0 · NaN` must yield NaN (contradicting the
-    /// `TensorError::NonFinite` machinery). Both backends must propagate.
+    /// yielding `0` where `0 · NaN` must yield NaN, which hid non-finite
+    /// operands. Both backends must propagate.
     #[test]
     fn matmul_propagates_nan_through_zero_operand() {
         let a = Tensor::from_vec(vec![0.0, 0.0, 0.0, 0.0], &[2, 2]).unwrap();

@@ -276,16 +276,6 @@ impl Tensor {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
-    /// Verifies every element is finite, reporting the first corruption as
-    /// [`TensorError::NonFinite`]. Fault-injection paths use this to turn
-    /// silent data corruption into a typed, locatable error.
-    pub fn check_finite(&self) -> Result<(), TensorError> {
-        match self.data.iter().position(|v| !v.is_finite()) {
-            None => Ok(()),
-            Some(index) => Err(TensorError::NonFinite { index }),
-        }
-    }
-
     /// Minimum element (`+inf` for empty tensors).
     pub fn min(&self) -> f32 {
         self.data.iter().fold(f32::INFINITY, |m, &x| m.min(x))

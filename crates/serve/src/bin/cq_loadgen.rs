@@ -11,8 +11,8 @@
 //! the daemon byte-identity acceptance check. Prints a single JSON
 //! report line; exits non-zero if any sweep failed, any record
 //! mismatched, or any transport error occurred. A `CQ_*` name outside
-//! [`cq_obs::KNOBS`] or an invalid `CQ_MAPPING` aborts before the first
-//! connection.
+//! [`cq_obs::KNOBS`] or an invalid `CQ_THREADS` or `CQ_SIMD` aborts
+//! before the first connection.
 
 use cq_serve::{run_load, LoadOptions};
 
@@ -61,8 +61,10 @@ fn main() {
         }
     }
 
-    // `--check` recomputes records under this policy.
-    let _ = cq_sim::mapping::env_policy();
+    // Resolve CQ_THREADS and CQ_SIMD now: an invalid value aborts here,
+    // before the first connection.
+    let _ = cq_par::Pool::global();
+    let _ = cq_par::simd_level();
     let mut opts = if quick {
         LoadOptions::quick(&addr)
     } else {

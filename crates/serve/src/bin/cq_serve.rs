@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Refuses any `CQ_*` name outside [`cq_obs::KNOBS`] and resolves
-//! `CQ_MAPPING` before it opens a socket, so a misspelt name or a bad
-//! value stops the daemon at start-up instead of being ignored or
-//! failing its first request. Prints
+//! `CQ_THREADS` and `CQ_SIMD` before it opens a socket, so a misspelt
+//! name or a bad value stops the daemon at start-up instead of being
+//! ignored or failing its first request. Every cell simulates under the
+//! default mapping policy. Prints
 //! `cq-serve listening on <addr>` once the socket is bound (CI waits for
 //! that line), then serves until SIGTERM/SIGINT or a protocol-level
 //! `{"type":"shutdown"}` request. Shutdown drains every admitted cell
@@ -92,9 +93,11 @@ fn main() {
         }
     }
 
-    // Every cell simulates under this policy; an invalid value aborts
-    // here, before the daemon announces itself.
-    let _ = cq_sim::mapping::env_policy();
+    // Resolve CQ_THREADS and CQ_SIMD now, as the experiment binaries
+    // do: an invalid value aborts here, before the daemon announces
+    // itself.
+    let _ = cq_par::Pool::global();
+    let _ = cq_par::simd_level();
     if let Err(e) = cq_obs::init_from_env() {
         eprintln!("cq_serve: observability init failed: {e}");
         std::process::exit(1);

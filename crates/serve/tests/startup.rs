@@ -1,7 +1,8 @@
 //! `cq_serve` checks its `CQ_*` environment before it binds a socket: a
-//! misspelt name or a bad `CQ_MAPPING` stops the daemon at start-up
-//! instead of being ignored, or of panicking a worker on the first
-//! request after `cq-serve listening` was printed.
+//! misspelt or removed name, or a bad `CQ_THREADS` or `CQ_SIMD` value,
+//! stops the daemon at start-up instead of being ignored, or of
+//! panicking a worker on the first request after `cq-serve listening`
+//! was printed.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -47,7 +48,18 @@ fn assert_exits_before_listening(key: &str, value: &str, needle: &str) {
 
 #[test]
 fn bad_mapping_exits_before_listening() {
-    assert_exits_before_listening("CQ_MAPPING", "serach", "CQ_MAPPING");
+    assert_exits_before_listening(
+        "CQ_MAPPING",
+        "search",
+        "unknown environment variable CQ_MAPPING;",
+    );
+}
+
+#[test]
+fn invalid_values_exit_before_listening() {
+    for (key, value) in [("CQ_THREADS", "fuor"), ("CQ_SIMD", "avx512")] {
+        assert_exits_before_listening(key, value, &format!("invalid {key} value"));
+    }
 }
 
 #[test]

@@ -45,7 +45,7 @@ pub use cache::{
     hwcache_enabled, key_f32, key_f64, set_hwcache_enabled, CacheStats, HwCostCache, HwCostKey,
 };
 pub use energy::{table1_rows, EnergyModel, HwCostError, Table1Row};
-pub use mapping::{Mapping, MappingEval, MappingPolicy, MappingTable, MatShape, MemHierarchy};
+pub use mapping::{Mapping, MappingEval, MatShape, MemHierarchy};
 pub use phase::{Phase, PhaseBreakdown};
 pub use result::{geomean, SimResult};
 pub use trace::{Trace, TraceRecord};

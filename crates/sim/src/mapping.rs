@@ -29,13 +29,8 @@
 //! searched mapping beats the default even though the default is never
 //! charged for its residency violations.
 //!
-//! The `CQ_MAPPING` environment knob selects the policy process-wide
-//! (`default` | `search` | a mapping-table file path) and is validated
-//! eagerly in `profiling::init_for_bin` like `CQ_THREADS`/`CQ_SIMD`.
-
-use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::OnceLock;
+//! Which mapping a simulated layer uses is the chip's mapping policy,
+//! chosen in code when the chip is built (`cq_accel::MappingPolicy`).
 
 /// One matmul dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +44,7 @@ pub enum Dim {
 }
 
 impl Dim {
-    /// Lower-case letter used in the mapping-file format.
+    /// Lower-case letter used in rendered mappings.
     pub fn letter(self) -> char {
         match self {
             Dim::M => 'm',
@@ -59,9 +54,11 @@ impl Dim {
     }
 }
 
-/// A DRAM-level tile loop order, outermost first.
+/// A DRAM-level tile loop order, outermost first. [`LoopOrder::ALL`]
+/// is the only way to get one, so every order is a permutation of
+/// (M, N, K).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LoopOrder(pub [Dim; 3]);
+pub struct LoopOrder([Dim; 3]);
 
 impl LoopOrder {
     /// All six permutations of the (M, N, K) tile loops.
@@ -74,58 +71,14 @@ impl LoopOrder {
         LoopOrder([Dim::K, Dim::N, Dim::M]),
     ];
 
-    /// The file-format spelling, e.g. `mnk`.
+    /// The rendered spelling, e.g. `mnk`.
     pub fn name(&self) -> String {
         self.0.iter().map(|d| d.letter()).collect()
     }
 
-    /// Parses a three-letter permutation of `m`, `n`, `k`.
-    pub fn parse(s: &str) -> Result<LoopOrder, String> {
-        let mut dims = [Dim::M; 3];
-        let chars: Vec<char> = s.trim().chars().collect();
-        if chars.len() != 3 {
-            return Err(format!("loop order {s:?} must be 3 letters of m/n/k"));
-        }
-        for (i, c) in chars.iter().enumerate() {
-            dims[i] = match c.to_ascii_lowercase() {
-                'm' => Dim::M,
-                'n' => Dim::N,
-                'k' => Dim::K,
-                other => return Err(format!("loop order {s:?}: unknown dim {other:?}")),
-            };
-        }
-        for d in [Dim::M, Dim::N, Dim::K] {
-            if !dims.contains(&d) {
-                return Err(format!(
-                    "loop order {s:?} must mention each of m, n, k once"
-                ));
-            }
-        }
-        Ok(LoopOrder(dims))
-    }
-
-    /// Position of `dim` in the nest (0 = outermost), or `None` when the
-    /// order does not mention it. [`LoopOrder::parse`] only produces
-    /// permutations, but the tuple field is public, so a hand-built
-    /// order can omit a dimension — callers must not assume presence
-    /// (this used to be an `unwrap` that aborted on such orders).
-    fn position(&self, dim: Dim) -> Option<usize> {
-        self.0.iter().position(|&d| d == dim)
-    }
-
-    /// Whether the order mentions each of M, N, K exactly once. Anything
-    /// else has no defined reuse analysis and is rejected by
-    /// [`Mapping::validate`].
-    pub fn is_permutation(&self) -> bool {
-        [Dim::M, Dim::N, Dim::K]
-            .into_iter()
-            .all(|d| self.0.contains(&d))
-    }
-}
-
-impl fmt::Display for LoopOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+    /// Position of `dim` in the nest (0 = outermost).
+    fn position(&self, dim: Dim) -> usize {
+        self.0.iter().take_while(|&&d| d != dim).count()
     }
 }
 
@@ -256,7 +209,7 @@ impl Mapping {
     /// simulator byte-identically; exempt from the capacity check.
     pub fn streaming_default() -> Mapping {
         Mapping {
-            order: LoopOrder([Dim::M, Dim::N, Dim::K]),
+            order: LoopOrder::ALL[0],
             tile_m: FULL,
             tile_n: FULL,
             tile_k: FULL,
@@ -267,24 +220,6 @@ impl Mapping {
     /// Whether this is [`Mapping::streaming_default`].
     pub fn is_streaming_default(&self) -> bool {
         *self == Mapping::streaming_default()
-    }
-
-    /// Structural sanity: the loop order is a permutation of (M, N, K),
-    /// no zero tiles, fold ≥ 1.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.order.is_permutation() {
-            return Err(format!(
-                "mapping loop order {:?} must mention each of m, n, k once",
-                self.order.name()
-            ));
-        }
-        if self.tile_m == 0 || self.tile_n == 0 || self.tile_k == 0 {
-            return Err(format!("mapping {self} has a zero tile size"));
-        }
-        if self.kfold == 0 {
-            return Err(format!("mapping {self} has fold 0"));
-        }
-        Ok(())
     }
 
     /// Derives traffic, occupancy and utilization inputs for `shape`
@@ -307,17 +242,8 @@ impl Mapping {
         // f_X = Π trip(d) over irrelevant dims d that have a relevant
         // dim strictly inside them in the nest.
         let reload = |relevant: [Dim; 2], irrelevant: Dim| -> u64 {
-            // A non-permutation order only reaches here through the
-            // public struct fields (validate() rejects it at every parse
-            // boundary); a dimension missing from the nest contributes no
-            // reload rather than a panic.
-            let Some(pos) = self.order.position(irrelevant) else {
-                return 1;
-            };
-            let inner_relevant = relevant
-                .iter()
-                .any(|&r| self.order.position(r).is_some_and(|p| p > pos));
-            if inner_relevant {
+            let pos = self.order.position(irrelevant);
+            if relevant.iter().any(|&r| self.order.position(r) > pos) {
                 trip_of(irrelevant)
             } else {
                 1
@@ -359,7 +285,7 @@ impl Mapping {
             && e.nbout_occupancy <= hier.nbout_bytes as f64
     }
 
-    /// One-line file-format rendering, e.g.
+    /// One-line rendering, as the mapping-search report prints it, e.g.
     /// `order=mnk tm=full tn=256 tk=512 fold=2`.
     pub fn render(&self) -> String {
         let t = |v: u64| {
@@ -377,65 +303,6 @@ impl Mapping {
             t(self.tile_k),
             self.kfold
         )
-    }
-
-    /// Parses the [`Mapping::render`] format (fields in any order).
-    pub fn parse(s: &str) -> Result<Mapping, String> {
-        let mut m = Mapping::streaming_default();
-        let mut seen = [false; 5];
-        for field in s.split_whitespace() {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("mapping field {field:?} is not key=value"))?;
-            let tile = |v: &str| -> Result<u64, String> {
-                if v.eq_ignore_ascii_case("full") {
-                    return Ok(FULL);
-                }
-                v.parse::<u64>().ok().filter(|&t| t >= 1).ok_or_else(|| {
-                    format!("mapping tile {v:?} must be 'full' or a positive integer")
-                })
-            };
-            match key {
-                "order" => {
-                    m.order = LoopOrder::parse(value)?;
-                    seen[0] = true;
-                }
-                "tm" => {
-                    m.tile_m = tile(value)?;
-                    seen[1] = true;
-                }
-                "tn" => {
-                    m.tile_n = tile(value)?;
-                    seen[2] = true;
-                }
-                "tk" => {
-                    m.tile_k = tile(value)?;
-                    seen[3] = true;
-                }
-                "fold" => {
-                    m.kfold = value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&f| f >= 1)
-                        .ok_or_else(|| {
-                            format!("mapping fold {value:?} must be a positive integer")
-                        })?;
-                    seen[4] = true;
-                }
-                other => return Err(format!("unknown mapping field {other:?}")),
-            }
-        }
-        if seen != [true; 5] {
-            return Err(format!("mapping {s:?} must set all of order/tm/tn/tk/fold"));
-        }
-        m.validate()?;
-        Ok(m)
-    }
-}
-
-impl fmt::Display for Mapping {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
     }
 }
 
@@ -494,174 +361,6 @@ impl MappingEval {
     }
 }
 
-/// A per-layer mapping table, keyed `network/layer`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MappingTable {
-    entries: BTreeMap<String, Mapping>,
-}
-
-/// Header line of the mapping-table file format.
-const TABLE_HEADER: &str = "# cq mapping table v1";
-
-impl MappingTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        MappingTable::default()
-    }
-
-    /// Adds or replaces the mapping for `network`'s `layer`.
-    pub fn insert(&mut self, network: &str, layer: &str, mapping: Mapping) {
-        self.entries.insert(format!("{network}/{layer}"), mapping);
-    }
-
-    /// The mapping for `network`'s `layer`, if present.
-    pub fn get(&self, network: &str, layer: &str) -> Option<&Mapping> {
-        self.entries.get(&format!("{network}/{layer}"))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates `(network/layer, mapping)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Mapping)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Renders the table in the `CQ_MAPPING=<file>` format.
-    pub fn render(&self) -> String {
-        let mut out = String::from(TABLE_HEADER);
-        out.push('\n');
-        for (key, mapping) in &self.entries {
-            out.push_str(&format!("{key}: {}\n", mapping.render()));
-        }
-        out
-    }
-
-    /// Parses a mapping-table file: the v1 header, then one
-    /// `network/layer: order=.. tm=.. tn=.. tk=.. fold=..` line per
-    /// entry. Blank lines and `#` comments are ignored.
-    pub fn parse(text: &str) -> Result<MappingTable, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h.trim() == TABLE_HEADER => {}
-            other => {
-                return Err(format!(
-                    "mapping table must start with {TABLE_HEADER:?}, got {other:?}"
-                ))
-            }
-        }
-        let mut table = MappingTable::new();
-        for (i, line) in lines.enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, spec) = line
-                .split_once(':')
-                .ok_or_else(|| format!("mapping table line {}: missing ':': {line:?}", i + 2))?;
-            let key = key.trim();
-            if !key.contains('/') {
-                return Err(format!(
-                    "mapping table line {}: key {key:?} must be network/layer",
-                    i + 2
-                ));
-            }
-            let mapping =
-                Mapping::parse(spec).map_err(|e| format!("mapping table line {}: {e}", i + 2))?;
-            table.entries.insert(key.to_string(), mapping);
-        }
-        Ok(table)
-    }
-}
-
-/// Process-wide mapping policy selected by `CQ_MAPPING`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MappingPolicy {
-    /// The committed streaming default for every layer (byte-identical
-    /// to the pre-mapping simulator).
-    Default,
-    /// Per-layer two-stage mapping search over the capacity-legal space.
-    Search,
-    /// Fixed per-layer mappings from a table (see [`MappingTable`]);
-    /// a layer missing from the table aborts the run.
-    Table(MappingTable),
-}
-
-impl MappingPolicy {
-    /// Short name for reports (`default` / `search` / `table[n]`).
-    pub fn name(&self) -> String {
-        match self {
-            MappingPolicy::Default => "default".into(),
-            MappingPolicy::Search => "search".into(),
-            MappingPolicy::Table(t) => format!("table[{}]", t.len()),
-        }
-    }
-}
-
-/// Raw resolution of a `CQ_MAPPING` value, before any file I/O. Pure so
-/// it can be unit tested; unknown keywords become file paths, which
-/// [`env_policy`] then validates (an unreadable or unparsable path
-/// aborts rather than silently falling back to the default mapping).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnvMapping {
-    /// Use [`MappingPolicy::Default`].
-    Default,
-    /// Use [`MappingPolicy::Search`].
-    Search,
-    /// Load a [`MappingTable`] from this path.
-    File(String),
-}
-
-/// Resolves a raw `CQ_MAPPING` value. `None`/empty means "unset"
-/// (default mapping).
-pub fn resolve_env_mapping(raw: Option<&str>) -> EnvMapping {
-    let Some(v) = raw else {
-        return EnvMapping::Default;
-    };
-    let t = v.trim();
-    if t.is_empty() {
-        return EnvMapping::Default;
-    }
-    match t.to_ascii_lowercase().as_str() {
-        "default" => EnvMapping::Default,
-        "search" => EnvMapping::Search,
-        _ => EnvMapping::File(t.to_string()),
-    }
-}
-
-/// The validated process-wide `CQ_MAPPING` policy (cached for the
-/// process lifetime). A path that cannot be read or parsed aborts the
-/// run: a typo like `CQ_MAPPING=serach` silently simulating the default
-/// mapping would invalidate any mapping comparison.
-pub fn env_policy() -> &'static MappingPolicy {
-    static CACHED: OnceLock<MappingPolicy> = OnceLock::new();
-    CACHED.get_or_init(|| {
-        let raw = std::env::var("CQ_MAPPING").ok();
-        match resolve_env_mapping(raw.as_deref()) {
-            EnvMapping::Default => MappingPolicy::Default,
-            EnvMapping::Search => MappingPolicy::Search,
-            EnvMapping::File(path) => {
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    panic!(
-                        "invalid CQ_MAPPING value {path:?}: expected default, search, \
-                         or a readable mapping-table file ({e})"
-                    )
-                });
-                let table = MappingTable::parse(&text)
-                    .unwrap_or_else(|e| panic!("invalid CQ_MAPPING table {path:?}: {e}"));
-                MappingPolicy::Table(table)
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,6 +380,20 @@ mod tests {
 
     fn shape(m: u64, n: u64, k: u64) -> MatShape {
         MatShape { m, n, k }
+    }
+
+    fn order(name: &str) -> LoopOrder {
+        LoopOrder::ALL
+            .into_iter()
+            .find(|o| o.name() == name)
+            .unwrap()
+    }
+
+    #[test]
+    fn loop_order_all_lists_each_permutation_once() {
+        let mut names: Vec<String> = LoopOrder::ALL.iter().map(LoopOrder::name).collect();
+        names.sort();
+        assert_eq!(names, ["kmn", "knm", "mkn", "mnk", "nkm", "nmk"]);
     }
 
     #[test]
@@ -713,8 +426,8 @@ mod tests {
     fn reload_factors_follow_loop_order() {
         let hier = edge_hier();
         let s = shape(512, 512, 512);
-        let tiled = |order: &str| Mapping {
-            order: LoopOrder::parse(order).unwrap(),
+        let tiled = |order_name: &str| Mapping {
+            order: order(order_name),
             tile_m: 128,
             tile_n: 128,
             tile_k: 512,
@@ -730,7 +443,7 @@ mod tests {
         assert_eq!(e.psum_spill_elems, 0);
         // Split k outside the output loops: partials spill per extra trip.
         let spilled = Mapping {
-            order: LoopOrder::parse("kmn").unwrap(),
+            order: order("kmn"),
             tile_m: 128,
             tile_n: 128,
             tile_k: 128,
@@ -746,7 +459,7 @@ mod tests {
         // input tile is fetched once per (m, k) tile.
         let hier = edge_hier();
         let m = Mapping {
-            order: LoopOrder::parse("mkn").unwrap(),
+            order: order("mkn"),
             tile_m: 64,
             tile_n: 64,
             tile_k: 256,
@@ -799,127 +512,6 @@ mod tests {
             let rows = 64u64;
             let legacy = s.m.div_ceil(rows) * s.n.div_ceil(64) * s.k * 4;
             assert_eq!(hier.pe_sweep_cycles(s, 1, 4), legacy, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn mapping_render_parse_round_trip() {
-        let mappings = [
-            Mapping::streaming_default(),
-            Mapping {
-                order: LoopOrder::parse("kNm").unwrap(),
-                tile_m: 32,
-                tile_n: 806,
-                tile_k: 1950,
-                kfold: 3,
-            },
-        ];
-        for m in mappings {
-            let rendered = m.render();
-            assert_eq!(Mapping::parse(&rendered).unwrap(), m, "{rendered}");
-        }
-    }
-
-    #[test]
-    fn mapping_parse_rejects_garbage() {
-        for bad in [
-            "",
-            "order=mnk",
-            "order=mm tm=1 tn=1 tk=1 fold=1",
-            "order=mnk tm=0 tn=1 tk=1 fold=1",
-            "order=mnk tm=1 tn=1 tk=1 fold=0",
-            "order=mnk tm=1 tn=1 tk=1 fold=1 bogus=2",
-            "order=mnk tm=one tn=1 tk=1 fold=1",
-        ] {
-            assert!(Mapping::parse(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn table_round_trip_and_lookup() {
-        let mut t = MappingTable::new();
-        t.insert("PTB-LSTM", "lstm1", Mapping::streaming_default());
-        let custom = Mapping {
-            order: LoopOrder::parse("nkm").unwrap(),
-            tile_m: 20,
-            tile_n: 650,
-            tile_k: 1950,
-            kfold: 3,
-        };
-        t.insert("PTB-LSTM", "lstm2", custom);
-        let text = t.render();
-        let parsed = MappingTable::parse(&text).unwrap();
-        assert_eq!(parsed, t);
-        assert_eq!(parsed.get("PTB-LSTM", "lstm2"), Some(&custom));
-        assert_eq!(parsed.get("PTB-LSTM", "nope"), None);
-        assert_eq!(parsed.len(), 2);
-    }
-
-    #[test]
-    fn table_parse_rejects_garbage() {
-        assert!(MappingTable::parse("").is_err());
-        assert!(MappingTable::parse("net/layer: order=mnk ...").is_err());
-        let no_slash = format!("{TABLE_HEADER}\nlayeronly: order=mnk tm=1 tn=1 tk=1 fold=1\n");
-        assert!(MappingTable::parse(&no_slash).is_err());
-        let ok = format!("{TABLE_HEADER}\n\n# comment\na/b: order=mnk tm=1 tn=1 tk=1 fold=1\n");
-        assert_eq!(MappingTable::parse(&ok).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn env_mapping_resolution() {
-        assert_eq!(resolve_env_mapping(None), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some("")), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some("  ")), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some("Default")), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some(" SEARCH ")), EnvMapping::Search);
-        assert_eq!(
-            resolve_env_mapping(Some("maps/resnet.map")),
-            EnvMapping::File("maps/resnet.map".into())
-        );
-    }
-
-    #[test]
-    fn hand_built_non_permutation_order_errors_instead_of_panicking() {
-        // The tuple field is public, so a caller can build an order that
-        // no parser would produce. This used to abort inside evaluate()
-        // via `.position().unwrap()`; now validate() rejects it and
-        // evaluate() degrades gracefully.
-        let hier = edge_hier();
-        let m = Mapping {
-            order: LoopOrder([Dim::M, Dim::M, Dim::K]),
-            tile_m: 64,
-            tile_n: 64,
-            tile_k: 64,
-            kfold: 1,
-        };
-        assert!(!m.order.is_permutation());
-        let err = m.validate().unwrap_err();
-        assert!(err.contains("must mention each of m, n, k once"), "{err}");
-        // Must not panic even though N is absent from the nest; the
-        // missing dimension contributes no reload.
-        let e = m.evaluate(shape(512, 512, 512), &hier);
-        assert_eq!(e.reload_in, 1);
-        assert!(e.reload_w >= 1);
-    }
-
-    #[test]
-    fn hostile_mapping_table_duplicate_dim_is_typed_error() {
-        // A hand-edited CQ_MAPPING file whose order references a
-        // dimension twice (so one is absent) must surface the typed
-        // parse error with its line number, not abort the process.
-        let hostile = format!("{TABLE_HEADER}\nnet/conv1: order=mmk tm=64 tn=64 tk=64 fold=1\n");
-        let err = MappingTable::parse(&hostile).unwrap_err();
-        assert!(err.starts_with("mapping table line 2:"), "{err}");
-        assert!(err.contains("must mention each of m, n, k once"), "{err}");
-    }
-
-    #[test]
-    fn loop_order_parse_all_and_reject() {
-        for o in LoopOrder::ALL {
-            assert_eq!(LoopOrder::parse(&o.name()).unwrap(), o);
-        }
-        for bad in ["mn", "mnkx", "mmk", "abc"] {
-            assert!(LoopOrder::parse(bad).is_err(), "{bad}");
         }
     }
 }

@@ -11,7 +11,7 @@ BINS=(
   fig13_scalability int4_mode ablation_ndp
   ldq_compression e2bqm_accuracy ldq_ablation
   static_vs_dynamic fp8_rounding traffic_analysis timing_crosscheck buffer_sweep memory_patterns precision_energy table8_extended fault_sweep summary
-  intpath_accuracy
+  intpath_accuracy mapping_search
 )
 for bin in "${BINS[@]}"; do
   echo "== $bin"

@@ -40,7 +40,7 @@ fn render_sweep() -> String {
     // memo must itself be invariant under the hwcache toggle.
     let search_chip = cq_accel::CambriconQ::with_mapping(
         cq_accel::CqConfig::edge(),
-        cq_sim::MappingPolicy::Search,
+        cq_accel::MappingPolicy::Search,
     );
     let net = models::alexnet();
     let searched = search_chip.simulate(&net, opt);
