@@ -330,7 +330,9 @@ impl Default for QuantCtx {
 ///
 /// `backward` must be called after `forward` on the same input batch; it
 /// accumulates weight gradients internally and returns the gradient with
-/// respect to the layer input.
+/// respect to the layer input. `backward_params` accumulates the same
+/// weight gradients and skips the input gradient, for a first layer,
+/// whose input gradient nothing reads.
 pub trait Layer: fmt::Debug {
     /// Forward pass.
     ///
@@ -345,6 +347,19 @@ pub trait Layer: fmt::Debug {
     ///
     /// Returns [`NnError::NoForwardCache`] if called before `forward`.
     fn backward(&mut self, grad_out: &Tensor, ctx: &QuantCtx) -> Result<Tensor, NnError>;
+
+    /// Params-only backward pass: accumulates exactly the parameter
+    /// gradients [`Layer::backward`] does, bit for bit, and skips
+    /// ∂L/∂input where the layer can. The default runs `backward` and
+    /// drops its result; [`Dense`] and [`Conv2d`] skip their input-gradient
+    /// GEMM.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor, ctx: &QuantCtx) -> Result<(), NnError> {
+        self.backward(grad_out, ctx).map(drop)
+    }
 
     /// The layer's trainable parameters (empty for activations/pooling).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -386,6 +401,34 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.weight.value.dims()[1]
     }
+
+    /// The one backward body: accumulates ∂W and ∂b from the quantized
+    /// `grad_out`, then hands that gradient and the cached quantized
+    /// weight to `input_grad`, which [`Layer::backward`] makes compute
+    /// ∂L/∂x and [`Layer::backward_params`] makes skip it.
+    fn backward_with<T>(
+        &mut self,
+        grad_out: &Tensor,
+        ctx: &QuantCtx,
+        input_grad: impl FnOnce(&Tensor, &Tensor) -> Result<T, TensorError>,
+    ) -> Result<T, NnError> {
+        let xq = self.cached_xq.as_ref().ok_or(NnError::NoForwardCache {
+            layer: self.name.clone(),
+        })?;
+        let wq = self.cached_wq.as_ref().expect("cached with xq");
+        let gq = ctx.q(grad_out);
+        // ΔW = xqᵀ·gq — full-precision result (paper: WG writes back FP32).
+        let gw = ops::matmul_at_with(ctx.backend, xq, &gq)?;
+        self.weight.grad.add_scaled(&gw, 1.0)?;
+        // Δb = column sums of g.
+        let (b, out_f) = (gq.dims()[0], gq.dims()[1]);
+        for i in 0..b {
+            for j in 0..out_f {
+                self.bias.grad.data_mut()[j] += gq.data()[i * out_f + j];
+            }
+        }
+        Ok(input_grad(&gq, wq)?)
+    }
 }
 
 impl Layer for Dense {
@@ -422,23 +465,13 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor, ctx: &QuantCtx) -> Result<Tensor, NnError> {
-        let xq = self.cached_xq.as_ref().ok_or(NnError::NoForwardCache {
-            layer: self.name.clone(),
-        })?;
-        let wq = self.cached_wq.as_ref().expect("cached with xq");
-        let gq = ctx.q(grad_out);
-        // ΔW = xqᵀ·gq — full-precision result (paper: WG writes back FP32).
-        let gw = ops::matmul_at_with(ctx.backend, xq, &gq)?;
-        self.weight.grad.add_scaled(&gw, 1.0)?;
-        // Δb = column sums of g.
-        let (b, out_f) = (gq.dims()[0], gq.dims()[1]);
-        for i in 0..b {
-            for j in 0..out_f {
-                self.bias.grad.data_mut()[j] += gq.data()[i * out_f + j];
-            }
-        }
         // δ_in = gq·Wᵀ.
-        Ok(ops::matmul_bt_with(ctx.backend, &gq, wq)?)
+        let backend = ctx.backend;
+        self.backward_with(grad_out, ctx, |gq, wq| ops::matmul_bt_with(backend, gq, wq))
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, ctx: &QuantCtx) -> Result<(), NnError> {
+        self.backward_with(grad_out, ctx, |_, _| Ok(()))
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -489,6 +522,37 @@ impl Conv2d {
     pub(crate) fn feed_pool(&mut self) {
         self.pool_follows = true;
     }
+
+    /// The one backward body, as [`Dense`]'s: accumulates ∂W, then hands
+    /// the quantized gradient, the cached quantized weight and the
+    /// cached input's dims to `input_grad`.
+    fn backward_with<T>(
+        &mut self,
+        grad_out: &Tensor,
+        ctx: &QuantCtx,
+        input_grad: impl FnOnce(&Tensor, &Tensor, &[usize]) -> Result<T, TensorError>,
+    ) -> Result<T, NnError> {
+        let xq = self.cached_xq.as_ref().ok_or(NnError::NoForwardCache {
+            layer: self.name.clone(),
+        })?;
+        let wq = self.cached_wq.as_ref().expect("cached with xq");
+        let quantized;
+        let gq = if self.pool_follows && ctx.pool_quantizes_conv_grad() {
+            grad_out
+        } else {
+            quantized = ctx.q(grad_out);
+            &quantized
+        };
+        let gw = ops::conv2d_grad_weight_with(
+            ctx.backend,
+            xq,
+            gq,
+            self.weight.value.dims(),
+            self.params,
+        )?;
+        self.weight.grad.add_scaled(&gw, 1.0)?;
+        Ok(input_grad(gq, wq, xq.dims())?)
+    }
 }
 
 impl Layer for Conv2d {
@@ -514,32 +578,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, ctx: &QuantCtx) -> Result<Tensor, NnError> {
-        let xq = self.cached_xq.as_ref().ok_or(NnError::NoForwardCache {
-            layer: self.name.clone(),
-        })?;
-        let wq = self.cached_wq.as_ref().expect("cached with xq");
-        let quantized;
-        let gq = if self.pool_follows && ctx.pool_quantizes_conv_grad() {
-            grad_out
-        } else {
-            quantized = ctx.q(grad_out);
-            &quantized
-        };
-        let gw = ops::conv2d_grad_weight_with(
-            ctx.backend,
-            xq,
-            gq,
-            self.weight.value.dims(),
-            self.params,
-        )?;
-        self.weight.grad.add_scaled(&gw, 1.0)?;
-        Ok(ops::conv2d_grad_input_with(
-            ctx.backend,
-            gq,
-            wq,
-            xq.dims(),
-            self.params,
-        )?)
+        let (backend, params) = (ctx.backend, self.params);
+        self.backward_with(grad_out, ctx, |gq, wq, x_dims| {
+            ops::conv2d_grad_input_with(backend, gq, wq, x_dims, params)
+        })
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, ctx: &QuantCtx) -> Result<(), NnError> {
+        self.backward_with(grad_out, ctx, |_, _, _| Ok(()))
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -122,20 +122,55 @@ impl Sequential {
     }
 
     /// Backward pass from the loss gradient; accumulates parameter grads.
-    /// The last layer reads `grad` itself; an empty model returns a copy
-    /// of it.
+    /// The last layer reads `grad` itself. The first layer runs
+    /// [`Layer::backward_params`]: nothing reads the gradient with
+    /// respect to the model input, so a [`crate::Conv2d`] or
+    /// [`crate::Dense`] there skips its input-gradient GEMM. The
+    /// parameter gradients are bitwise those of a full backward.
     ///
     /// # Errors
     ///
     /// Propagates layer errors (e.g. backward before forward).
-    pub fn backward(&mut self, grad: &Tensor, ctx: &QuantCtx) -> Result<Tensor, NnError> {
+    pub fn backward(&mut self, grad: &Tensor, ctx: &QuantCtx) -> Result<(), NnError> {
+        self.backward_layers(grad, ctx, false).map(drop)
+    }
+
+    /// [`Sequential::backward`] that also computes and returns the
+    /// gradient with respect to the model input, the first layer running
+    /// its full [`Layer::backward`]. An empty model returns a copy of
+    /// `grad`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer errors (e.g. backward before forward).
+    pub fn backward_to_input(&mut self, grad: &Tensor, ctx: &QuantCtx) -> Result<Tensor, NnError> {
+        Ok(self
+            .backward_layers(grad, ctx, true)?
+            .unwrap_or_else(|| grad.clone()))
+    }
+
+    /// The layer walk of both backward entries, last layer first. Returns
+    /// the first layer's input gradient, or `None` for an empty model or
+    /// when the first layer runs [`Layer::backward_params`] (not
+    /// `with_input`).
+    fn backward_layers(
+        &mut self,
+        grad: &Tensor,
+        ctx: &QuantCtx,
+        with_input: bool,
+    ) -> Result<Option<Tensor>, NnError> {
         let _sp = cq_obs::span!("nn", "backward");
         let mut cur: Option<Tensor> = None;
-        for layer in self.layers.iter_mut().rev() {
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let _layer_sp = cq_obs::span!("nn.layer", "{}:BW", layer.name());
-            cur = Some(layer.backward(cur.as_ref().unwrap_or(grad), ctx)?);
+            let g = cur.as_ref().unwrap_or(grad);
+            if i == 0 && !with_input {
+                layer.backward_params(g, ctx)?;
+                return Ok(None);
+            }
+            cur = Some(layer.backward(g, ctx)?);
         }
-        Ok(cur.unwrap_or_else(|| grad.clone()))
+        Ok(cur)
     }
 
     /// Clears all accumulated gradients.
@@ -247,9 +282,13 @@ impl fmt::Display for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu};
+    use crate::intpath::QuantPath;
+    use crate::layers::{Dense, Flatten, Relu};
     use crate::optim::Sgd;
-    use cq_tensor::init;
+    use crate::param::Param;
+    use cq_quant::TrainingQuantizer;
+    use cq_tensor::{init, Backend};
+    use std::sync::{Arc, Mutex};
 
     fn xor_data() -> (Tensor, Vec<usize>) {
         // Classic XOR, replicated 4x for a batch of 16.
@@ -331,7 +370,136 @@ mod tests {
         let x = init::normal(&[3, 4], 0.0, 1.0, 2);
         let ctx = QuantCtx::fp32();
         assert_eq!(model.forward(&x, &ctx).unwrap(), x);
-        assert_eq!(model.backward(&x, &ctx).unwrap(), x);
+        assert_eq!(model.backward_to_input(&x, &ctx).unwrap(), x);
+        model.backward(&x, &ctx).unwrap();
+    }
+
+    /// Passes values through and logs which backward method ran.
+    #[derive(Debug)]
+    struct Recorder {
+        name: &'static str,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Layer for Recorder {
+        fn forward(&mut self, x: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
+            Ok(x.clone())
+        }
+
+        fn backward(&mut self, grad_out: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
+            let entry = format!("{}:backward", self.name);
+            self.log.lock().unwrap().push(entry);
+            Ok(grad_out.clone())
+        }
+
+        fn backward_params(&mut self, _grad_out: &Tensor, _ctx: &QuantCtx) -> Result<(), NnError> {
+            let entry = format!("{}:backward_params", self.name);
+            self.log.lock().unwrap().push(entry);
+            Ok(())
+        }
+
+        fn name(&self) -> &str {
+            self.name
+        }
+    }
+
+    /// A small bench-CNN (conv first) or MLP (dense first), built with
+    /// [`Sequential::add`], and the same layers unfused, to step by hand.
+    fn first_layer_models(conv_first: bool) -> (Sequential, Vec<Box<dyn Layer>>) {
+        let mut model = Sequential::new();
+        if conv_first {
+            let conv = || Conv2d::new("conv1", 3, 4, 3, 1, 1, 11);
+            let fc = || Dense::new("fc", 4 * 3 * 3, 3, 12);
+            model
+                .add(conv())
+                .add(Relu::new())
+                .add(MaxPool2d::new(2))
+                .add(Flatten::new())
+                .add(fc());
+            let layers: Vec<Box<dyn Layer>> = vec![
+                Box::new(conv()),
+                Box::new(Relu::new()),
+                Box::new(MaxPool2d::new(2)),
+                Box::new(Flatten::new()),
+                Box::new(fc()),
+            ];
+            (model, layers)
+        } else {
+            let (fc1, fc2) = (
+                || Dense::new("fc1", 6, 8, 13),
+                || Dense::new("fc2", 8, 3, 14),
+            );
+            model.add(fc1()).add(Relu::new()).add(fc2());
+            let layers: Vec<Box<dyn Layer>> =
+                vec![Box::new(fc1()), Box::new(Relu::new()), Box::new(fc2())];
+            (model, layers)
+        }
+    }
+
+    fn grad_bits<'a>(params: impl IntoIterator<Item = &'a mut Param>) -> Vec<Vec<u32>> {
+        params
+            .into_iter()
+            .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn backward_skips_only_the_first_input_gradient() {
+        // Which method each layer gets.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut model = Sequential::new();
+        for name in ["a", "b", "c"] {
+            let log = Arc::clone(&log);
+            model.add(Recorder { name, log });
+        }
+        let ctx = QuantCtx::fp32();
+        let x = init::normal(&[2, 3], 0.0, 1.0, 1);
+        model.forward(&x, &ctx).unwrap();
+        model.backward(&x, &ctx).unwrap();
+        let ran = std::mem::take(&mut *log.lock().unwrap());
+        assert_eq!(ran, ["c:backward", "b:backward", "a:backward_params"]);
+        assert_eq!(model.backward_to_input(&x, &ctx).unwrap(), x);
+        let ran = std::mem::take(&mut *log.lock().unwrap());
+        assert_eq!(ran, ["c:backward", "b:backward", "a:backward"]);
+
+        // The parameter gradients are those of every layer's full
+        // backward, stepped by hand, bit for bit.
+        let labels = [0usize, 2];
+        for conv_first in [true, false] {
+            let x = if conv_first {
+                init::normal(&[2, 3, 6, 6], 0.0, 1.0, 15)
+            } else {
+                init::normal(&[2, 6], 0.0, 1.0, 16)
+            };
+            for backend in [Backend::Naive, Backend::Fast] {
+                for path in [QuantPath::Fp32, QuantPath::Int8] {
+                    for q in [
+                        TrainingQuantizer::fp32(),
+                        TrainingQuantizer::zhang2020_hqt(),
+                    ] {
+                        let case = format!("{} {backend:?} {path:?} conv {conv_first}", q.name());
+                        let ctx = QuantCtx::new(q).with_backend(backend).with_path(path);
+                        let (mut model, mut layers) = first_layer_models(conv_first);
+                        let logits = model.forward(&x, &ctx).unwrap();
+                        let grad = softmax_cross_entropy(&logits, &labels).unwrap().grad;
+                        model.backward(&grad, &ctx).unwrap();
+
+                        let mut cur = x.clone();
+                        for layer in &mut layers {
+                            cur = layer.forward(&cur, &ctx).unwrap();
+                        }
+                        let mut g = softmax_cross_entropy(&cur, &labels).unwrap().grad;
+                        for layer in layers.iter_mut().rev() {
+                            g = layer.backward(&g, &ctx).unwrap();
+                        }
+                        assert_eq!(g.dims(), x.dims(), "{case}");
+                        let want = grad_bits(layers.iter_mut().flat_map(|l| l.params_mut()));
+                        assert!(want.iter().flatten().any(|&b| b != 0), "{case}");
+                        assert_eq!(grad_bits(model.params_mut()), want, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

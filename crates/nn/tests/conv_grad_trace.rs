@@ -55,7 +55,7 @@ fn the_pool_quantizes_the_conv_gradient_on_the_fast_backend_only() {
     let mut pool = Sequential::new();
     pool.add(Relu::new()).add(MaxPool2d::new(2));
     pool.forward(&y, &ctx).unwrap();
-    let unpooled = pool.backward(&g, &ctx).unwrap();
+    let unpooled = pool.backward_to_input(&g, &ctx).unwrap();
     let nonzeros = unpooled.data().iter().filter(|&&v| v != 0.0).count() as u64;
     assert!(0 < nonzeros && nonzeros < elems);
 

@@ -100,7 +100,7 @@ proptest! {
         let (want_y, want_g) = reference(&x, &g, k, true);
         prop_assert_eq!(y.dims(), want_y.dims());
         prop_assert_eq!(bits(&y), bits(&want_y), "output, dims {:?} k {}", dims, k);
-        let gin = model.backward(&g, &ctx).unwrap();
+        let gin = model.backward_to_input(&g, &ctx).unwrap();
         prop_assert_eq!(gin.dims(), x.dims());
         prop_assert_eq!(bits(&gin), bits(&want_g), "input gradient, dims {:?} k {}", dims, k);
     }
@@ -156,7 +156,7 @@ fn all_nan_and_negative_windows() {
         let (y, gin) = if relu {
             let mut model = fused(2);
             let y = model.forward(&x, &ctx).unwrap();
-            (y, model.backward(&g, &ctx).unwrap())
+            (y, model.backward_to_input(&g, &ctx).unwrap())
         } else {
             let mut pool = MaxPool2d::new(2);
             let y = pool.forward(&x, &ctx).unwrap();
@@ -178,7 +178,7 @@ fn all_nan_and_negative_windows() {
     assert_eq!(y.data()[0].to_bits(), 0.0f32.to_bits());
     let mut want = [0.0f32; 16];
     want[10] = 4.0;
-    let gin = model.backward(&g, &ctx).unwrap();
+    let gin = model.backward_to_input(&g, &ctx).unwrap();
     assert_eq!(bits(&gin)[..16], want.map(f32::to_bits));
 }
 
@@ -209,7 +209,7 @@ fn window_past_a_byte_of_offsets_is_a_typed_error() {
             m
         };
         let y = model.forward(&x, &ctx).unwrap();
-        let gin = model.backward(&g, &ctx).unwrap();
+        let gin = model.backward_to_input(&g, &ctx).unwrap();
         let (want_y, want_g) = reference(&x, &g, 15, relu);
         assert_eq!(bits(&y), bits(&want_y), "relu {relu}");
         assert_eq!(bits(&gin), bits(&want_g), "relu {relu}");
@@ -268,7 +268,7 @@ fn only_a_relu_right_before_a_pool_is_absorbed() {
         .add(MaxPool2d::new(2));
     assert_eq!(model.len(), 2);
     let y = model.forward(&x, &ctx).unwrap();
-    let gin = model.backward(&g, &ctx).unwrap();
+    let gin = model.backward_to_input(&g, &ctx).unwrap();
     let mut first = Relu::new();
     let r = first.forward(&x, &ctx).unwrap();
     let (want_y, want_g) = reference(&r, &g, 2, true);

@@ -145,6 +145,8 @@ pub fn init_to_path(path: &str) -> std::io::Result<()> {
 
 /// The `CQ_*` environment variables the workspace reads:
 /// `CQ_THREADS` and `CQ_SIMD` (cq-par) and `CQ_TRACE` (this crate).
+/// `CQ_SIMD` picks the GEMM micro-kernels and the compiled form of the
+/// cq-quant kernels that cq-par dispatches.
 pub const KNOBS: [&str; 3] = ["CQ_THREADS", "CQ_SIMD", "CQ_TRACE"];
 
 /// Panics on the first `CQ_*` environment variable that is not one of

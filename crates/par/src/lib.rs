@@ -82,7 +82,7 @@ pub use gemm::{
     gemm, gemm_at, gemm_at_with_plan, gemm_bt, gemm_bt_with_plan, gemm_i8, gemm_prepacked,
     gemm_with_plan, transpose, GemmElem, PackedA,
 };
-pub use microkernel::{simd_level, SimdLevel};
+pub use microkernel::{dispatch, dispatch_at, simd_level, SimdKernel, SimdLevel};
 pub use pool::Pool;
 pub use queue::{BatchRejected, BoundedQueue};
 pub use tune::{active_plan, describe_active_plan, GemmPlan, TileConfig};

@@ -26,15 +26,24 @@
 //! on hardware without it abort with a diagnostic — the same fail-loud
 //! policy as `CQ_THREADS`.
 //!
+//! The same level also picks the compiled form of plain Rust loops
+//! outside the GEMM: [`dispatch`] runs a [`SimdKernel`] body from a
+//! trampoline compiled with AVX2 enabled when the level is `Avx2`, and
+//! as baseline code when it is `Scalar`. cq-quant's quantizer kernels
+//! run through it. Unlike the f32 micro-kernels, such a body computes
+//! the same bits at both levels: the compiler only widens the vectors
+//! and never fuses a multiply into an add.
+//!
 //! Accumulation order over `k` is ascending in every kernel — identical
 //! to the naive reference — so the *sequence* of per-element operations
 //! never depends on tiling, banding or thread count; only FMA's fused
 //! rounding distinguishes the families numerically.
 
-// The AVX2 kernels are the one place in cq-par where `unsafe` is earned:
-// `std::arch` intrinsics are only callable from `#[target_feature]`
-// functions, which are unsafe to call. Every call site is guarded by
-// runtime feature detection in `simd_level()`.
+// The AVX2 kernels and the AVX2 trampoline are the one place in cq-par
+// where `unsafe` is earned: `std::arch` intrinsics are only callable
+// from `#[target_feature]` functions, which are unsafe to call. Every
+// call site is guarded by runtime feature detection in `simd_level()`,
+// `kernels()` or `dispatch_at()`.
 #![allow(unsafe_code)]
 
 use crate::gemm::GemmElem;
@@ -404,6 +413,64 @@ mod avx2 {
             kern_i8_madd
         }
     }
+
+    /// The AVX2 trampoline of [`super::dispatch_at`]: `kernel.run()` is
+    /// `#[inline(always)]`, so its body, and every helper inlined into
+    /// it, compile into this function with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must run AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run<K: super::SimdKernel>(kernel: K) -> K::Output {
+        kernel.run()
+    }
+}
+
+/// A loop body that [`dispatch`] compiles once per [`SimdLevel`].
+///
+/// Implementations mark [`SimdKernel::run`] `#[inline(always)]`, so the
+/// body compiles into each level's trampoline; the helpers it must take
+/// along need `#[inline(always)]` too, since a call the trampoline does
+/// not inline runs as baseline code. (A closure in place of the trait
+/// was not reliably inlined into the trampoline.)
+///
+/// The body must compute the same bits however wide the compiler makes
+/// its vectors: divides, rounds, selects, integer sums, and float folds
+/// that keep their element order. Rust never contracts a multiply and
+/// an add into an FMA, so such a body gives the same bits at every
+/// level.
+pub trait SimdKernel {
+    /// What the body returns.
+    type Output;
+
+    /// The body.
+    fn run(self) -> Self::Output;
+}
+
+/// Runs `kernel` compiled for the process's [`simd_level`].
+#[inline]
+pub fn dispatch<K: SimdKernel>(kernel: K) -> K::Output {
+    dispatch_at(simd_level(), kernel)
+}
+
+/// Runs `kernel` compiled for `level`. [`dispatch`] passes
+/// [`simd_level`]; an explicit level lets one process run both forms of
+/// a kernel, as the cross-level parity tests do.
+///
+/// # Panics
+///
+/// Panics if `level` is `Avx2` and the CPU lacks AVX2 or FMA, the pair
+/// [`simd_level`] requires for that level.
+#[inline]
+pub fn dispatch_at<K: SimdKernel>(level: SimdLevel, kernel: K) -> K::Output {
+    match level {
+        SimdLevel::Scalar => kernel.run(),
+        // SAFETY: the guard checks that the CPU runs AVX2.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if avx2_available() => unsafe { avx2::run(kernel) },
+        SimdLevel::Avx2 => panic!("the AVX2 form of a kernel needs a CPU with AVX2+FMA"),
+    }
 }
 
 /// `level`'s f32 and i8 kernels; `None` when this target does not
@@ -467,8 +534,10 @@ fn resolve_env_simd(raw: Option<&str>, avx2_ok: bool) -> Result<SimdLevel, Strin
     }
 }
 
-/// The process-wide micro-kernel family: `CQ_SIMD` filtered through
-/// runtime feature detection, resolved once.
+/// The process-wide SIMD level: `CQ_SIMD` filtered through runtime
+/// feature detection, resolved once. It picks the GEMM micro-kernel
+/// family and the compiled form of every [`dispatch`]ed kernel, such as
+/// cq-quant's quantizer loops.
 pub fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {

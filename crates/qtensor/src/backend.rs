@@ -8,7 +8,9 @@
 //!   micro-kernel under KC/MC/NC panel blocking, selected by `CQ_SIMD`
 //!   with that level's constant block sizes — see
 //!   [`cq_par::describe_active_plan`]) and im2col convolution,
-//!   parallelized over the global worker pool.
+//!   parallelized over the global worker pool. The same `CQ_SIMD` level
+//!   also picks the compiled form of cq-quant's quantizer kernels
+//!   ([`cq_par::dispatch`]), which compute the same bits at every level.
 //!
 //! Both accumulate every output element over the reduction dimension in
 //! the same (ascending) order. The bit-identity contract belongs to the

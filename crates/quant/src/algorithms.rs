@@ -8,7 +8,7 @@ use crate::format::{IntFormat, QuantParams};
 use crate::ldq::{LdqConfig, LdqTensor};
 use crate::qtensor::QuantizedTensor;
 use crate::rounding::{MiniFloat, RoundingMode};
-use cq_par::Pool;
+use cq_par::{Pool, SimdKernel};
 use cq_tensor::Tensor;
 use std::fmt;
 
@@ -503,6 +503,9 @@ impl TrainingQuantizer {
     /// that knows where a block's nonzeros lie, such as a max-pool
     /// backward, so skips the dense pass over the block.
     ///
+    /// The block runs compiled for the process's SIMD level
+    /// ([`cq_par::dispatch`]), with the same bits at every level.
+    ///
     /// # Panics
     ///
     /// Panics if the scheme is not [`QuantScheme::Hqt`], or if `len`
@@ -529,23 +532,21 @@ impl TrainingQuantizer {
             "{} nonzeros in a block of {len}, block size {block_size}",
             nonzeros.len()
         );
-        // θ over the nonzeros is θ over the block: `|±0|` never raises
-        // the `max` fold above its own 0.0 start.
-        let theta = fast::block_theta(nonzeros);
-        match multiplex {
-            None => fast::fake_quantize_in_place(nonzeros, QuantParams::symmetric(theta, *format)),
-            Some(m) => {
-                m.candidate_params_into(theta, &mut scratch.params);
-                let way = fast::eval_candidates_shared(nonzeros, len, m.estimator(), scratch);
-                fast::fake_quantize_in_place(nonzeros, scratch.params[way]);
-            }
-        }
+        cq_par::dispatch(NonzerosBlock {
+            nonzeros,
+            len,
+            format: *format,
+            multiplex: multiplex.as_ref(),
+            scratch,
+        });
     }
 }
 
 /// Fake-quantizes `src` into `dst` block by block with the fused
 /// per-block kernels: a band of whole HQT blocks (the final block may be
 /// ragged), or for layer-wise schemes one block spanning the tensor.
+/// Each block runs compiled for the process's SIMD level
+/// ([`cq_par::dispatch`]).
 fn fake_quantize_band(
     src: &[f32],
     dst: &mut [f32],
@@ -556,16 +557,88 @@ fn fake_quantize_band(
 ) {
     debug_assert_eq!(src.len(), dst.len());
     for (xb, ob) in src.chunks(block_size).zip(dst.chunks_mut(block_size)) {
-        let theta = fast::block_theta(xb);
-        let params = match multiplex {
-            None => QuantParams::symmetric(theta, format),
-            Some(m) => {
-                m.candidate_params_into(theta, &mut scratch.params);
-                let way = fast::eval_candidates_shared(xb, xb.len(), m.estimator(), scratch);
-                scratch.params[way]
-            }
-        };
-        fast::fake_quantize_block(xb, params, ob);
+        cq_par::dispatch(DenseBlock {
+            src: xb,
+            dst: ob,
+            format,
+            multiplex: multiplex.as_ref(),
+            scratch,
+        });
+    }
+}
+
+/// One block of the dense band, fake-quantized from `src` into `dst`,
+/// as a [`SimdKernel`] returning the E²BQM way it took (`None` for LDQ
+/// alone).
+pub(crate) struct DenseBlock<'a> {
+    pub(crate) src: &'a [f32],
+    pub(crate) dst: &'a mut [f32],
+    pub(crate) format: IntFormat,
+    pub(crate) multiplex: Option<&'a E2bqmQuantizer>,
+    pub(crate) scratch: &'a mut QuantScratch,
+}
+
+impl SimdKernel for DenseBlock<'_> {
+    type Output = Option<usize>;
+
+    #[inline(always)]
+    fn run(self) -> Option<usize> {
+        let n = self.src.len();
+        let (params, way) = block_params(self.src, n, self.format, self.multiplex, self.scratch);
+        fast::fake_quantize_block(self.src, params, self.dst);
+        way
+    }
+}
+
+/// [`TrainingQuantizer::fake_quantize_nonzeros`]'s block, fake-quantized
+/// in place from its nonzeros, as a [`SimdKernel`] returning the E²BQM
+/// way it took.
+pub(crate) struct NonzerosBlock<'a> {
+    pub(crate) nonzeros: &'a mut [f32],
+    pub(crate) len: usize,
+    pub(crate) format: IntFormat,
+    pub(crate) multiplex: Option<&'a E2bqmQuantizer>,
+    pub(crate) scratch: &'a mut QuantScratch,
+}
+
+impl SimdKernel for NonzerosBlock<'_> {
+    type Output = Option<usize>;
+
+    #[inline(always)]
+    fn run(self) -> Option<usize> {
+        // θ over the nonzeros is θ over the block: `|±0|` never raises
+        // the `max` fold above its own 0.0 start.
+        let (params, way) = block_params(
+            self.nonzeros,
+            self.len,
+            self.format,
+            self.multiplex,
+            self.scratch,
+        );
+        fast::fake_quantize_in_place(self.nonzeros, params);
+        way
+    }
+}
+
+/// The parameters of a block of `n` elements, from `x`, which holds the
+/// whole block or only its nonzeros (see
+/// [`fast::eval_candidates_shared`]), and the E²BQM way that chose them.
+#[inline(always)]
+fn block_params(
+    x: &[f32],
+    n: usize,
+    format: IntFormat,
+    multiplex: Option<&E2bqmQuantizer>,
+    scratch: &mut QuantScratch,
+) -> (QuantParams, Option<usize>) {
+    let theta = fast::block_theta(x);
+    match multiplex {
+        None => (QuantParams::symmetric(theta, format), None),
+        Some(m) => {
+            m.candidate_params_into(theta, &mut scratch.params);
+            let way = fast::eval_candidates_shared(x, n, m.estimator(), scratch);
+            (scratch.params[way], Some(way))
+        }
     }
 }
 

@@ -41,6 +41,11 @@
 //!   blocks, E²BQM selections, the integer-domain base codes), the
 //!   clamped integral f32 is converted with the 1.5·2²³ magic-number add
 //!   (`exact_i32`) — exact because every code has magnitude ≤ 2²².
+//! * **Compiled per SIMD level**: the E²BQM block kernels and the
+//!   integer-domain quantizer run through [`cq_par::dispatch`], which
+//!   compiles them with AVX2 where the process's level is `Avx2`. The
+//!   helpers they reach are `#[inline(always)]` so that they compile
+//!   with them; every level computes the same bits.
 //! * **[`QuantScratch`]**: an arena holding the candidate parameter set,
 //!   the candidate rows and the accumulators, so steady-state calls
 //!   allocate nothing.
@@ -392,6 +397,10 @@ pub(crate) fn fake_quantize_in_place(x: &mut [f32], params: QuantParams) {
 /// still counts all elements, and the statistic over `x` is unchanged by
 /// its zeros for the same reason as the sums: `Σ v²` and `Σ v` start at
 /// +0.0 too.
+///
+/// Always inlined, so that a [`cq_par::SimdKernel`] that calls it
+/// compiles its passes for the kernel's SIMD level.
+#[inline(always)]
 pub(crate) fn eval_candidates_shared(
     x: &[f32],
     n: usize,
@@ -535,8 +544,10 @@ pub(crate) fn eval_candidates_shared(
 ///
 /// A function of its own on purpose: written inline in the chunk loop,
 /// where `x` may be the compacted copy, dense 256-element blocks
-/// evaluated 20% or more slower.
-#[inline]
+/// evaluated 20% or more slower. Always inlined, as
+/// [`eval_candidates_shared`] is, so that it compiles for the SIMD level
+/// of the kernel that calls it.
+#[inline(always)]
 fn eval_chunk(
     estimator: ErrorEstimator,
     lanes: &mut [EstAcc; LANES],
@@ -572,7 +583,7 @@ fn eval_chunk(
 /// folds: `x` itself, or — when at least [`ZERO_SKIP_PERCENT`]% of it is
 /// ±0 — its nonzero elements in ascending order, compacted into
 /// `nonzeros`.
-#[inline]
+#[inline(always)]
 fn skip_zeros<'a>(x: &'a [f32], nonzeros: &'a mut Vec<f32>) -> &'a [f32] {
     // A compare and an add per element: this count vectorizes, so dense
     // chunks pay little for the check.
@@ -597,7 +608,7 @@ fn skip_zeros<'a>(x: &'a [f32], nonzeros: &'a mut Vec<f32>) -> &'a [f32] {
 /// Adds one chunk's error terms to the lane accumulators: `rows` holds
 /// `LANES` rows of `x.len()` fake-quantized values, and lane `l` takes
 /// the estimator's term for `(x[j], rows[l][j])` for each `j` in turn.
-#[inline]
+#[inline(always)]
 fn fold_rows(estimator: ErrorEstimator, lanes: &mut [EstAcc; LANES], x: &[f32], rows: &[f32]) {
     let len = x.len();
     let rows: [&[f32]; LANES] = std::array::from_fn(|l| &rows[l * len..][..len]);

@@ -64,6 +64,7 @@
 
 use crate::fast;
 use crate::format::IntFormat;
+use cq_par::SimdKernel;
 
 /// Upper bound on ladder ways: shifts stay tiny and the widest base code
 /// `qmax · 2^(W−1)` stays far inside i32.
@@ -174,7 +175,30 @@ impl IntDomainQuantizer {
     /// docs: the caller must fall back to full precision). `codes` is
     /// cleared and refilled; a degenerate θ (all-zero/non-finite block)
     /// emits all-zero codes at scale 1.0 — lossless, not a fallback.
+    ///
+    /// The passes run compiled for the process's SIMD level
+    /// ([`cq_par::dispatch`]); every level computes the same codes,
+    /// scale and errors.
     pub fn quantize_into(
+        &self,
+        x: &[f32],
+        codes: &mut Vec<i8>,
+        scratch: &mut IntDomainScratch,
+    ) -> Option<IntSelection> {
+        cq_par::dispatch(QuantizeInto {
+            q: self,
+            x,
+            codes,
+            scratch,
+        })
+    }
+
+    /// [`Self::quantize_into`]'s passes: θ, the base codes, the per-way
+    /// integer folds and the winner's codes. Each is an f32 divide,
+    /// round, compare or select per element, or an integer sum, so they
+    /// give the same bits at every vector width.
+    #[inline(always)]
+    fn quantize(
         &self,
         x: &[f32],
         codes: &mut Vec<i8>,
@@ -303,6 +327,23 @@ impl IntDomainQuantizer {
         };
         scratch.fq_codes = fq_codes;
         taken
+    }
+}
+
+/// [`IntDomainQuantizer::quantize_into`] as a [`SimdKernel`].
+pub(crate) struct QuantizeInto<'a> {
+    pub(crate) q: &'a IntDomainQuantizer,
+    pub(crate) x: &'a [f32],
+    pub(crate) codes: &'a mut Vec<i8>,
+    pub(crate) scratch: &'a mut IntDomainScratch,
+}
+
+impl SimdKernel for QuantizeInto<'_> {
+    type Output = Option<IntSelection>;
+
+    #[inline(always)]
+    fn run(self) -> Option<IntSelection> {
+        self.q.quantize(self.x, self.codes, self.scratch)
     }
 }
 

@@ -42,6 +42,8 @@ pub mod format;
 pub mod guard;
 pub mod intdomain;
 pub mod ldq;
+#[cfg(test)]
+mod level_parity;
 pub mod qtensor;
 pub mod rounding;
 
