@@ -12,7 +12,7 @@
 //! 85%, whole train steps 60% (noisier; see [`TRAIN_STEP_RETAIN`]).
 //!
 //! ```text
-//! bench_perf [--quick] [--check] [--out PATH] [--baseline PATH] [--profile PATH]
+//! bench_perf [--quick] [--check] [--out PATH] [--baseline PATH]
 //!
 //!   --quick         reduced shape set and repetition count (CI smoke mode)
 //!   --check         exit non-zero if Fast is below 3.0x over Naive on
@@ -24,14 +24,12 @@
 //!                   BENCH_PR10_ci.json, which git ignores)
 //!   --baseline PATH a previous report to gate speedups against; naming
 //!                   the --out file too exits 2 before any timing
-//!   --profile PATH  write a cq-obs trace here (overrides CQ_TRACE); a
-//!                   .jsonl path gets the line sink, any other a Chrome
-//!                   trace_event file
 //! ```
 //!
-//! Start-up goes through `cq_experiments::profiling::init_for_bin`, as
-//! in the experiment binaries, so an unknown or invalid `CQ_*` variable
-//! aborts before the first timing.
+//! Start-up goes through `cq_par::start`, as in every other binary, so
+//! an unknown or invalid `CQ_*` variable aborts before the first timing,
+//! and `CQ_TRACE=PATH` writes a cq-obs trace (a `.jsonl` path gets the
+//! line sink, any other a Chrome trace_event file).
 //!
 //! Report schema (hand-written JSON, no serde):
 //!
@@ -750,6 +748,7 @@ fn same_file(a: &str, b: &str) -> bool {
 }
 
 fn main() {
+    let trace = cq_par::start();
     let mut quick = false;
     let mut check = false;
     let mut out_path = String::from("BENCH_PR10_ci.json");
@@ -761,17 +760,12 @@ fn main() {
             "--check" => check = true,
             "--out" => out_path = args.next().expect("--out requires a path"),
             "--baseline" => baseline_path = Some(args.next().expect("--baseline requires a path")),
-            // Read by `init_for_bin` below.
-            "--profile" => {
-                args.next().expect("--profile requires a path");
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
             }
         }
     }
-    let profile = cq_experiments::profiling::init_for_bin();
     // Writing the report over its own baseline would replace the
     // committed reference with one run's numbers.
     if let Some(b) = &baseline_path {
@@ -870,7 +864,7 @@ fn main() {
 
     std::fs::write(&out_path, render_json(&entries, quick)).expect("write report");
     eprintln!("wrote {out_path}");
-    drop(profile);
+    drop(trace);
 
     if check {
         let reference = entries

@@ -2,7 +2,7 @@
 use cq_experiments::perf;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("§VII.D — NDP ablation (speedup over TPU with and without NDP)\n");
     let rows = perf::run_comparison();
     print!("{}", perf::ablation_ndp_table(&rows));

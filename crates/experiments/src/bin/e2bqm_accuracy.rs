@@ -2,7 +2,7 @@
 use cq_experiments::hqt;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("§III.B — E2BQM emulation of Direction Sensitive Gradient Clipping\n");
     print!("{}", hqt::e2bqm_dsgc_emulation(42));
     println!("\n§III.B — E2BQM emulation of Shiftable Fixed-Point\n");

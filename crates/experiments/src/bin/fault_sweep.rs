@@ -3,7 +3,7 @@
 use cq_experiments::resilience;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Fault sweep — resilience under injected DRAM/SRAM/θ-register faults\n");
     match resilience::zero_cost_check() {
         Ok(net) => println!("zero-cost check ({net}): fault rate 0 is bit-identical, ECC idle\n"),

@@ -3,7 +3,7 @@ use cq_experiments::perf;
 use cq_sim::SimResult;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Fig. 12(b) — Time breakdown per training iteration\n");
     let rows = perf::run_comparison();
     let mut refs: Vec<&SimResult> = Vec::new();

@@ -2,7 +2,7 @@
 use cq_experiments::perf;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Fig. 12(c) — Energy per training iteration\n");
     let rows = perf::run_comparison();
     print!("{}", perf::fig12c_table(&rows));

@@ -2,7 +2,7 @@
 use cq_experiments::perf;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Fig. 12(d) — Energy breakdown (ACC / BUF / DDR-SB / DDR-DY)\n");
     let rows = perf::run_comparison();
     let (table, mem_ratio) = perf::fig12d_table(&rows);

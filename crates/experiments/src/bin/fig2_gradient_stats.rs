@@ -2,7 +2,7 @@
 use cq_experiments::motivation;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Fig. 2 — max |gradient| per layer across epochs (proxy CNN)\n");
     let trace = motivation::fig2_gradient_trace(42);
     print!("{}", motivation::fig2_render(&trace));

@@ -1,6 +1,6 @@
 //! Wang et al. 2018's FP8 with stochastic vs nearest rounding.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Table III row 1 — FP8 (e5m2) training and rounding modes\n");
     print!("{}", cq_experiments::extensions::fp8_rounding_ablation(42));
     println!("\nStochastic rounding keeps tiny updates alive in expectation;");

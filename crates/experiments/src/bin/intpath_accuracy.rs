@@ -11,7 +11,7 @@
 use cq_experiments::accuracy;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Integer-path accuracy A/B (proxy scale, %)");
     println!("fp32-path: every quantization by zhang2020_hqt (4-way FormatSweep on MSE)");
     println!("int8-path: Dense/Conv2d forward x and W by IntDomainQuantizer::hardware_default");

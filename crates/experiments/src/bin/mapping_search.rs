@@ -25,10 +25,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Args, String> {
         match a.as_str() {
             "--quick" => out.quick = true,
             "--out" => out.out = Some(args.next().ok_or("--out needs a path")?),
-            "--profile" => {
-                args.next(); // consumed by profiling::init_for_bin
-            }
-            other if other.starts_with("--profile=") => {}
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -36,7 +32,7 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Args, String> {
 }
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {

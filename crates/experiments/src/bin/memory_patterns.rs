@@ -1,6 +1,6 @@
 //! DDR access-pattern study: sequential vs strided achieved bandwidth.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Memory patterns — achieved DDR utilization (1 MiB of reads)\n");
     print!("{}", cq_experiments::extensions::memory_patterns());
 }

@@ -1,6 +1,6 @@
 //! Mixed-precision MAC energy sweep (fallible Table I lookups).
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Precision sweep — MAC energy vs bit width (unmodeled widths render as --)\n");
     print!("{}", cq_experiments::extensions::precision_energy_sweep());
 }

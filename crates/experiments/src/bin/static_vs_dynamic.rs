@@ -1,7 +1,7 @@
 //! §II.A motivation: static quantization ranges cannot train; dynamic
 //! statistic-based quantization can.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("§II.A — static vs dynamic quantization ranges (held-out accuracy)\n");
     print!("{}", cq_experiments::extensions::static_vs_dynamic(42));
     println!("\nGradient/activation ranges drift across layers and epochs (Fig. 2),");

@@ -11,7 +11,7 @@ use cq_sim::report::TextTable;
 use cq_workloads::models;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Cambricon-Q reproduction — headline claims, computed live\n");
     let rows = perf::run_comparison();
     let sp_gpu = geomean(&rows.iter().map(|r| r.speedup_gpu()).collect::<Vec<_>>());

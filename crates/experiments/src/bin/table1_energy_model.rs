@@ -1,6 +1,6 @@
 //! Regenerates the paper's Table I from the energy model.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Table I — Efficiency comparison of different bit-width data (45 nm)\n");
     print!("{}", cq_experiments::tables::table1());
 }

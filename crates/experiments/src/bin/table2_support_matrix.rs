@@ -1,6 +1,6 @@
 //! Regenerates the paper's Table II hardware-support matrix.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Table II — Existing hardware for DNN training\n");
     print!("{}", cq_experiments::tables::table2());
 }

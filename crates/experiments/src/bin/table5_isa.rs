@@ -1,6 +1,6 @@
 //! Demonstrates the Table V instruction set via the disassembler.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Table V — The Cambricon-Q ISA\n");
     print!("{}", cq_experiments::tables::table5());
 }

@@ -1,6 +1,6 @@
 //! Regenerates the paper's Table VII hardware characteristics.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Table VII — Hardware characteristics (45 nm)\n");
     print!("{}", cq_experiments::tables::table7());
 }

@@ -3,7 +3,7 @@
 use cq_experiments::accuracy;
 
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Table VIII — Training accuracy results (proxy scale, %)\n");
     let rows = accuracy::table8_accuracy(42);
     print!("{}", accuracy::table8_render(&rows));

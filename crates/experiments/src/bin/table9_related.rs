@@ -1,6 +1,6 @@
 //! Regenerates the paper's Table IX accelerator comparison.
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Table IX — Recent quantized-training-aware accelerators\n");
     print!("{}", cq_experiments::tables::table9());
 }

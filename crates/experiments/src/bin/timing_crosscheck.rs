@@ -2,7 +2,7 @@
 //! instruction-driven timing executor on every benchmark's forward pass.
 use cq_experiments::crosscheck;
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("Timing cross-check — analytical model vs instruction-driven executor\n");
     let rows = crosscheck::run_crosscheck();
     print!("{}", crosscheck::crosscheck_table(&rows));

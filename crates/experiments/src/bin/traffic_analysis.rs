@@ -1,7 +1,7 @@
 //! §II.B — high-precision data-movement shares under quantized training.
 use cq_ndp::OptimizerKind;
 fn main() {
-    let _profile = cq_experiments::profiling::init_for_bin();
+    let _trace = cq_par::start();
     println!("§II.B — weight-update (FP32) share of DRAM traffic per iteration\n");
     let adam = OptimizerKind::Adam {
         lr: 1e-3,

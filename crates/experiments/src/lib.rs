@@ -50,6 +50,5 @@ pub mod hqt;
 pub mod mapping;
 pub mod motivation;
 pub mod perf;
-pub mod profiling;
 pub mod resilience;
 pub mod tables;

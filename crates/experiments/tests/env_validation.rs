@@ -1,11 +1,11 @@
 //! Start-up validation of the `CQ_*` knobs through the real start-up path
-//! of an experiment binary (`profiling::init_for_bin`).
+//! of an experiment binary (`cq_par::start`).
 //!
 //! Each case runs `table2_support_matrix`, a pure-table binary that never
 //! trains or simulates, as a child process with every
 //! inherited `CQ_*` variable removed. No test mutates this process's
 //! environment, so the cases cannot race with each other or with the
-//! process-wide caches the knobs resolve into.
+//! process-wide configuration the knobs resolve into.
 
 use std::process::{Command, Output};
 

@@ -1039,7 +1039,8 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Flattens `[B, ...]` to `[B, features]`.
+/// Flattens `[B, ...]` to `[B, features]`. A rank-0 tensor, which has
+/// no batch dimension, is an [`TensorError::InvalidArgument`].
 #[derive(Debug, Default)]
 pub struct Flatten {
     dims: Option<Vec<usize>>,
@@ -1054,7 +1055,12 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, x: &Tensor, _ctx: &QuantCtx) -> Result<Tensor, NnError> {
-        let b = x.dims()[0];
+        let Some(&b) = x.dims().first() else {
+            return Err(TensorError::InvalidArgument(
+                "flatten needs a batch dimension, got a rank-0 tensor".into(),
+            )
+            .into());
+        };
         let features = x.len() / b.max(1);
         self.dims = Some(x.dims().to_vec());
         Ok(x.reshape(&[b, features])?)
@@ -1298,6 +1304,16 @@ mod tests {
         let cos = y_fp.cosine_similarity(&y_int).unwrap();
         assert!(cos > 0.99, "cosine {cos}");
         assert_eq!(int.int_stats().hits(), 1);
+    }
+
+    #[test]
+    fn flatten_rejects_a_rank_0_tensor() {
+        let x = Tensor::from_vec(vec![1.0], &[]).unwrap();
+        let r = Flatten::new().forward(&x, &QuantCtx::fp32());
+        assert!(
+            matches!(&r, Err(NnError::Tensor(TensorError::InvalidArgument(m))) if m.contains("rank-0")),
+            "{r:?}"
+        );
     }
 
     #[test]

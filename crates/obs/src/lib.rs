@@ -38,9 +38,10 @@
 //! assert_eq!(sink.take().len(), 1);
 //! ```
 //!
-//! Binaries call [`init_from_env`] (or honor a `--profile PATH` flag)
-//! and [`finish`] before exit; `CQ_TRACE=<path>` selects the sink — a
-//! `.jsonl` suffix means JSONL, anything else Chrome trace format.
+//! Binaries trace through `CQ_TRACE=<path>`: `cq_par::start`, the first
+//! call of every binary, installs the sink with [`init_to_path`] — a
+//! `.jsonl` suffix means JSONL, anything else Chrome trace format — and
+//! its guard calls [`finish`] on the way out.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -141,42 +142,6 @@ pub fn init_to_path(path: &str) -> std::io::Result<()> {
         install(Arc::new(ChromeTraceSink::create(path)?));
     }
     Ok(())
-}
-
-/// The `CQ_*` environment variables the workspace reads:
-/// `CQ_THREADS` and `CQ_SIMD` (cq-par) and `CQ_TRACE` (this crate).
-/// `CQ_SIMD` picks the GEMM micro-kernels and the compiled form of the
-/// cq-quant kernels that cq-par dispatches.
-pub const KNOBS: [&str; 3] = ["CQ_THREADS", "CQ_SIMD", "CQ_TRACE"];
-
-/// Panics on the first `CQ_*` environment variable that is not one of
-/// [`KNOBS`], naming it and listing the knobs. Binaries call this before
-/// anything else, so a stale or misspelt name (`CQ_THREAD=2`) stops the
-/// run instead of being silently ignored.
-pub fn reject_unknown_knobs() {
-    for (name, _) in std::env::vars_os() {
-        let name = name.to_string_lossy();
-        if name.starts_with("CQ_") && !KNOBS.contains(&name.as_ref()) {
-            panic!(
-                "unknown environment variable {name}; the CQ_* knobs are {}",
-                KNOBS.join(", ")
-            );
-        }
-    }
-}
-
-/// Reads `CQ_TRACE` and installs the matching file sink. Returns the
-/// path when tracing was enabled. An unset or empty variable leaves
-/// tracing off; an unwritable path is an error (callers should fail
-/// loudly rather than silently profile nothing).
-pub fn init_from_env() -> std::io::Result<Option<String>> {
-    match std::env::var("CQ_TRACE") {
-        Ok(path) if !path.trim().is_empty() => {
-            init_to_path(&path)?;
-            Ok(Some(path))
-        }
-        _ => Ok(None),
-    }
 }
 
 #[cfg(test)]

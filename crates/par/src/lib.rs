@@ -31,6 +31,10 @@
 //!   weight matrix against every image's patch matrix).
 //! * [`conv`] — an im2col lowering that turns 2-D convolution (forward,
 //!   input-gradient and weight-gradient passes) into GEMM calls.
+//! * [`RunConfig`] — the `CQ_*` knobs ([`KNOBS`]), parsed once per
+//!   process; [`Pool::global`] and [`simd_level`] return its fields, and
+//!   [`start`], the first call of every binary, validates them and
+//!   installs the `CQ_TRACE` sink.
 //!
 //! The crate deliberately operates on raw slices, not `cq-tensor`
 //! tensors, so `cq-tensor` can depend on it without a cycle; shape checks
@@ -70,6 +74,7 @@
 #![deny(unsafe_code)]
 
 mod catch;
+mod config;
 pub mod conv;
 mod gemm;
 mod microkernel;
@@ -78,6 +83,7 @@ pub mod queue;
 pub mod tune;
 
 pub use catch::catch_task;
+pub use config::{start, RunConfig, TraceGuard, KNOBS};
 pub use gemm::{
     gemm, gemm_at, gemm_at_with_plan, gemm_bt, gemm_bt_with_plan, gemm_i8, gemm_prepacked,
     gemm_with_plan, transpose, GemmElem, PackedA,

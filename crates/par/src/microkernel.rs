@@ -21,10 +21,10 @@
 //!   the scalar one.
 //!
 //! The family is chosen once per process by [`simd_level`]: the `CQ_SIMD`
-//! environment variable (`auto` / `scalar` / `avx2`) filtered through
-//! runtime CPU feature detection. Malformed values or requesting `avx2`
-//! on hardware without it abort with a diagnostic — the same fail-loud
-//! policy as `CQ_THREADS`.
+//! knob (`auto` / `scalar` / `avx2`) filtered through runtime CPU
+//! feature detection, as [`crate::RunConfig`] parses it. Malformed values
+//! or requesting `avx2` on hardware without it abort with a diagnostic —
+//! the same fail-loud policy as `CQ_THREADS`.
 //!
 //! The same level also picks the compiled form of plain Rust loops
 //! outside the GEMM: [`dispatch`] runs a [`SimdKernel`] body from a
@@ -47,7 +47,6 @@
 #![allow(unsafe_code)]
 
 use crate::gemm::GemmElem;
-use std::sync::OnceLock;
 
 /// Register-tile rows: the A panel width.
 pub(crate) const MR: usize = 6;
@@ -69,15 +68,6 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
-        }
-    }
-
-    /// Parses `"scalar"` / `"avx2"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<SimdLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimdLevel::Scalar),
-            "avx2" => Some(SimdLevel::Avx2),
-            _ => None,
         }
     }
 }
@@ -493,7 +483,7 @@ pub(crate) fn kernels(level: SimdLevel) -> Option<(KernFn<f32>, KernFn<i8>)> {
 }
 
 /// Whether this build/CPU can run the AVX2 kernels.
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -504,75 +494,17 @@ fn avx2_available() -> bool {
     }
 }
 
-/// Resolves a raw `CQ_SIMD` value against hardware capability.
-/// `None`/empty means `auto` (best available). `scalar` always works;
-/// `avx2` must actually be runnable or the run aborts — silently falling
-/// back would invalidate any A/B kernel comparison.
-fn resolve_env_simd(raw: Option<&str>, avx2_ok: bool) -> Result<SimdLevel, String> {
-    let auto = || {
-        if avx2_ok {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Scalar
-        }
-    };
-    match raw {
-        None => Ok(auto()),
-        Some(v) if v.trim().is_empty() => Ok(auto()),
-        Some(v) if v.trim().eq_ignore_ascii_case("auto") => Ok(auto()),
-        Some(v) => match SimdLevel::parse(v) {
-            Some(SimdLevel::Scalar) => Ok(SimdLevel::Scalar),
-            Some(SimdLevel::Avx2) if avx2_ok => Ok(SimdLevel::Avx2),
-            Some(SimdLevel::Avx2) => Err(format!(
-                "CQ_SIMD={v:?} requests the AVX2 micro-kernels but this CPU/target \
-                 does not support AVX2+FMA"
-            )),
-            None => Err(format!(
-                "invalid CQ_SIMD value {v:?}: expected \"auto\", \"scalar\" or \"avx2\""
-            )),
-        },
-    }
-}
-
-/// The process-wide SIMD level: `CQ_SIMD` filtered through runtime
-/// feature detection, resolved once. It picks the GEMM micro-kernel
-/// family and the compiled form of every [`dispatch`]ed kernel, such as
-/// cq-quant's quantizer loops.
+/// The process-wide SIMD level, [`crate::RunConfig::global`]'s:
+/// `CQ_SIMD` filtered through runtime feature detection. It picks the
+/// GEMM micro-kernel family and the compiled form of every [`dispatch`]ed
+/// kernel, such as cq-quant's quantizer loops.
 pub fn simd_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let raw = std::env::var("CQ_SIMD").ok();
-        match resolve_env_simd(raw.as_deref(), avx2_available()) {
-            Ok(level) => level,
-            Err(msg) => panic!("{msg}"),
-        }
-    })
+    crate::RunConfig::global().simd
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_resolution_rejects_garbage() {
-        assert_eq!(resolve_env_simd(None, true), Ok(SimdLevel::Avx2));
-        assert_eq!(resolve_env_simd(None, false), Ok(SimdLevel::Scalar));
-        assert_eq!(resolve_env_simd(Some(""), true), Ok(SimdLevel::Avx2));
-        assert_eq!(
-            resolve_env_simd(Some(" AUTO "), false),
-            Ok(SimdLevel::Scalar)
-        );
-        assert_eq!(
-            resolve_env_simd(Some("scalar"), true),
-            Ok(SimdLevel::Scalar)
-        );
-        assert_eq!(resolve_env_simd(Some(" Avx2 "), true), Ok(SimdLevel::Avx2));
-        let err = resolve_env_simd(Some("avx2"), false).unwrap_err();
-        assert!(err.contains("AVX2"), "{err}");
-        let err = resolve_env_simd(Some("sse9"), true).unwrap_err();
-        assert!(err.contains("invalid CQ_SIMD"), "{err}");
-        assert!(err.contains("scalar"), "{err}");
-    }
 
     /// The scalar and (when runnable) AVX2 i8 kernels are bitwise
     /// identical — i32 accumulation has no rounding, so unlike the f32

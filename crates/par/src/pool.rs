@@ -10,7 +10,6 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// A fan-out helper over scoped `std::thread`s.
 ///
@@ -41,13 +40,12 @@ impl Pool {
         }
     }
 
-    /// The process-wide pool.
+    /// The process-wide pool, [`RunConfig::global`]'s: `CQ_THREADS`
+    /// workers, else `std::thread::available_parallelism`.
     ///
-    /// Thread count comes from the `CQ_THREADS` environment variable if set
-    /// to a positive integer, else from `std::thread::available_parallelism`.
+    /// [`RunConfig::global`]: crate::RunConfig::global
     pub fn global() -> &'static Pool {
-        static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(|| Pool::new(threads_from_env()))
+        &crate::RunConfig::global().pool
     }
 
     /// Maximum number of workers this pool fans out to.
@@ -280,12 +278,6 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new(threads_from_env())
-    }
-}
-
 /// Runs one worker's chunk, accounting per-worker busy time and item
 /// throughput when tracing is enabled. With tracing off this is a plain
 /// call — no clock reads.
@@ -304,35 +296,6 @@ where
     cq_obs::counter!("par.chunks_run").incr();
     cq_obs::counter!("par.items_run").add(items as u64);
     cq_obs::counter!("par.busy_us").add(busy_us as u64);
-}
-
-/// Resolves a raw `CQ_THREADS` value to a worker count. `None` or an
-/// empty string means "unset" (`Ok(None)`, caller picks the hardware
-/// default); anything else must be a positive integer or the run aborts.
-/// A typo like `CQ_THREADS=fuor` used to silently use all cores, which
-/// quietly invalidates scaling experiments.
-fn resolve_env_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(v) = raw else { return Ok(None) };
-    if v.trim().is_empty() {
-        return Ok(None);
-    }
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(format!(
-            "invalid CQ_THREADS value {v:?}: expected a positive integer"
-        )),
-    }
-}
-
-fn threads_from_env() -> usize {
-    let raw = std::env::var("CQ_THREADS").ok();
-    match resolve_env_threads(raw.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        Err(msg) => panic!("{msg}"),
-    }
 }
 
 #[cfg(test)]
@@ -523,19 +486,5 @@ mod tests {
     #[test]
     fn zero_thread_request_clamps_to_one() {
         assert_eq!(Pool::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn env_thread_resolution_rejects_garbage() {
-        assert_eq!(resolve_env_threads(None), Ok(None));
-        assert_eq!(resolve_env_threads(Some("")), Ok(None));
-        assert_eq!(resolve_env_threads(Some("  ")), Ok(None));
-        assert_eq!(resolve_env_threads(Some("4")), Ok(Some(4)));
-        assert_eq!(resolve_env_threads(Some(" 16 ")), Ok(Some(16)));
-        for bad in ["fuor", "0", "-2", "3.5", "4 threads"] {
-            let err = resolve_env_threads(Some(bad)).unwrap_err();
-            assert!(err.contains("invalid CQ_THREADS"), "{err}");
-            assert!(err.contains("positive integer"), "{err}");
-        }
     }
 }

@@ -8,7 +8,7 @@ use crate::format::{IntFormat, QuantParams};
 use crate::ldq::{LdqConfig, LdqTensor};
 use crate::qtensor::QuantizedTensor;
 use crate::rounding::{MiniFloat, RoundingMode};
-use cq_par::{Pool, SimdKernel};
+use cq_par::SimdKernel;
 use cq_tensor::Tensor;
 use std::fmt;
 
@@ -465,8 +465,8 @@ impl TrainingQuantizer {
                 let k = *block_size;
                 assert!(k > 0, "block size must be positive");
                 out.resize(data.len(), 0.0);
-                let pool = Pool::global();
-                if data.len() < fast::PAR_MIN_ELEMS || pool.threads() == 1 {
+                let pool = fast::block_pool(data.len());
+                if pool.threads() == 1 {
                     fake_quantize_band(data, out, k, *format, multiplex, scratch);
                 } else {
                     pool.parallel_block_chunks(
@@ -584,7 +584,7 @@ impl SimdKernel for DenseBlock<'_> {
     #[inline(always)]
     fn run(self) -> Option<usize> {
         let n = self.src.len();
-        let (params, way) = block_params(self.src, n, self.format, self.multiplex, self.scratch);
+        let (params, _, way) = block_params(self.src, n, self.format, self.multiplex, self.scratch);
         fast::fake_quantize_block(self.src, params, self.dst);
         way
     }
@@ -608,7 +608,7 @@ impl SimdKernel for NonzerosBlock<'_> {
     fn run(self) -> Option<usize> {
         // θ over the nonzeros is θ over the block: `|±0|` never raises
         // the `max` fold above its own 0.0 start.
-        let (params, way) = block_params(
+        let (params, _, way) = block_params(
             self.nonzeros,
             self.len,
             self.format,
@@ -620,9 +620,37 @@ impl SimdKernel for NonzerosBlock<'_> {
     }
 }
 
+/// One block quantized to integer codes, as a [`SimdKernel`]: the LDQ
+/// codes of `src` (`multiplex` `None`) or those of its E²BQM winner,
+/// which [`crate::LdqTensor::quantize`] and
+/// [`E2bqmQuantizer::quantize_blocks`] run on every block. Returns the
+/// quantized block, its θ (the raw statistic) and the way it took; the
+/// per-way errors are left in `scratch.errors`.
+pub(crate) struct CodesBlock<'a> {
+    pub(crate) src: &'a [f32],
+    pub(crate) format: IntFormat,
+    pub(crate) multiplex: Option<&'a E2bqmQuantizer>,
+    pub(crate) scratch: &'a mut QuantScratch,
+}
+
+impl SimdKernel for CodesBlock<'_> {
+    type Output = (QuantizedTensor, f32, Option<usize>);
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        let n = self.src.len();
+        let (params, theta, way) =
+            block_params(self.src, n, self.format, self.multiplex, self.scratch);
+        let mut codes = Vec::with_capacity(n);
+        fast::quantize_codes_into(self.src, params, &mut codes);
+        (QuantizedTensor::from_codes(codes, params, &[n]), theta, way)
+    }
+}
+
 /// The parameters of a block of `n` elements, from `x`, which holds the
 /// whole block or only its nonzeros (see
-/// [`fast::eval_candidates_shared`]), and the E²BQM way that chose them.
+/// [`fast::eval_candidates_shared`]), with the block's θ and the E²BQM
+/// way that chose them.
 #[inline(always)]
 fn block_params(
     x: &[f32],
@@ -630,14 +658,14 @@ fn block_params(
     format: IntFormat,
     multiplex: Option<&E2bqmQuantizer>,
     scratch: &mut QuantScratch,
-) -> (QuantParams, Option<usize>) {
+) -> (QuantParams, f32, Option<usize>) {
     let theta = fast::block_theta(x);
     match multiplex {
-        None => (QuantParams::symmetric(theta, format), None),
+        None => (QuantParams::symmetric(theta, format), theta, None),
         Some(m) => {
             m.candidate_params_into(theta, &mut scratch.params);
             let way = fast::eval_candidates_shared(x, n, m.estimator(), scratch);
-            (scratch.params[way], Some(way))
+            (scratch.params[way], theta, Some(way))
         }
     }
 }

@@ -17,7 +17,8 @@
 //! The hardware SQU realizes this as a time-multiplexed 4-way quantization
 //! with an Arbiter comparing candidate quality (paper §IV.B.1).
 
-use crate::fast::{self, QuantScratch};
+use crate::algorithms::CodesBlock;
+use crate::fast;
 use crate::format::{IntFormat, QuantParams};
 use crate::qtensor::QuantizedTensor;
 use cq_par::Pool;
@@ -301,11 +302,7 @@ impl E2bqmQuantizer {
             cq_obs::counter!("quant.calls").incr();
             cq_obs::counter!("quant.blocks").add(x.len().div_ceil(block_size) as u64);
         }
-        if x.len() < fast::PAR_MIN_ELEMS || Pool::global().threads() == 1 {
-            self.quantize_blocks_fused_serial(x, block_size)
-        } else {
-            self.quantize_blocks_fast_on(Pool::global(), x, block_size)
-        }
+        self.quantize_blocks_fast_on(&fast::block_pool(x.len()), x, block_size)
     }
 
     /// The reference implementation: per block, N separate
@@ -325,68 +322,30 @@ impl E2bqmQuantizer {
         out
     }
 
-    /// Fused E²BQM on one raw block slice: θ and all error accumulators
-    /// in a single sweep, reusing `scratch`; only the winner's codes are
-    /// formed.
-    fn quantize_block_fused(&self, x: &[f32], scratch: &mut QuantScratch) -> E2bqmSelection {
-        let theta = fast::block_theta(x);
-        self.candidate_params_into(theta, &mut scratch.params);
-        let way = fast::eval_candidates_shared(x, x.len(), self.estimator, scratch);
-        let mut codes = Vec::with_capacity(x.len());
-        fast::quantize_codes_into(x, scratch.params[way], &mut codes);
-        let selected = QuantizedTensor::from_codes(codes, scratch.params[way], &[x.len()]);
-        E2bqmSelection {
-            selected,
-            way,
-            errors: scratch.errors.clone(),
-        }
-    }
-
-    /// Serial fused path: one scratch arena reused across all blocks.
-    fn quantize_blocks_fused_serial(&self, x: &Tensor, block_size: usize) -> Vec<E2bqmSelection> {
-        let data = x.data();
-        let n = data.len();
-        let mut scratch = QuantScratch::new();
-        let mut out = Vec::with_capacity(n.div_ceil(block_size));
-        let mut start = 0;
-        while start < n {
-            let len = block_size.min(n - start);
-            out.push(self.quantize_block_fused(&data[start..start + len], &mut scratch));
-            start += len;
-        }
-        out
-    }
-
-    /// Pool-explicit fused path: blocks are partitioned into contiguous
-    /// chunks (each worker reuses one scratch arena) and results are
-    /// flattened in block order, so the output is identical for any worker
-    /// count.
+    /// Pool-explicit fused path: θ and every candidate's error in one
+    /// sweep per block, and codes for the winner only, compiled for the
+    /// process's SIMD level ([`cq_par::dispatch`]). Blocks are partitioned
+    /// into contiguous chunks and results are flattened in block order,
+    /// so the output is identical for any worker count.
     pub fn quantize_blocks_fast_on(
         &self,
         pool: &Pool,
         x: &Tensor,
         block_size: usize,
     ) -> Vec<E2bqmSelection> {
-        assert!(block_size > 0, "block size must be positive");
-        let data = x.data();
-        let n = data.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let nblocks = n.div_ceil(block_size);
-        let chunks = Pool::partition(nblocks, pool.threads(), fast::PAR_MIN_BLOCKS);
-        let per_chunk: Vec<Vec<E2bqmSelection>> = pool.parallel_map(chunks.len(), |ci| {
-            let mut scratch = QuantScratch::new();
-            let r = chunks[ci].clone();
-            let mut out = Vec::with_capacity(r.len());
-            for b in r {
-                let start = b * block_size;
-                let len = block_size.min(n - start);
-                out.push(self.quantize_block_fused(&data[start..start + len], &mut scratch));
+        fast::map_blocks(pool, x.data(), block_size, |src, scratch| {
+            let (selected, _, way) = cq_par::dispatch(CodesBlock {
+                src,
+                format: self.format,
+                multiplex: Some(self),
+                scratch,
+            });
+            E2bqmSelection {
+                selected,
+                way: way.expect("a multiplexed block takes a way"),
+                errors: scratch.errors.clone(),
             }
-            out
-        });
-        per_chunk.into_iter().flatten().collect()
+        })
     }
 }
 

@@ -41,11 +41,12 @@
 //!   blocks, E²BQM selections, the integer-domain base codes), the
 //!   clamped integral f32 is converted with the 1.5·2²³ magic-number add
 //!   (`exact_i32`) — exact because every code has magnitude ≤ 2²².
-//! * **Compiled per SIMD level**: the E²BQM block kernels and the
-//!   integer-domain quantizer run through [`cq_par::dispatch`], which
-//!   compiles them with AVX2 where the process's level is `Avx2`. The
-//!   helpers they reach are `#[inline(always)]` so that they compile
-//!   with them; every level computes the same bits.
+//! * **Compiled per SIMD level**: every block kernel (LDQ and E²BQM,
+//!   fake-quantized or to codes) and the integer-domain quantizer run
+//!   through [`cq_par::dispatch`], which compiles them with AVX2 where
+//!   the process's level is `Avx2`. The helpers they reach are
+//!   `#[inline(always)]` so that they compile with them; every level
+//!   computes the same bits.
 //! * **[`QuantScratch`]**: an arena holding the candidate parameter set,
 //!   the candidate rows and the accumulators, so steady-state calls
 //!   allocate nothing.
@@ -65,6 +66,7 @@
 
 use crate::e2bqm::ErrorEstimator;
 use crate::format::QuantParams;
+use cq_par::Pool;
 
 /// How large a tensor must be before block quantization fans out over the
 /// worker pool. Below this the pool's spawn cost (~tens of µs per region)
@@ -73,6 +75,47 @@ pub const PAR_MIN_ELEMS: usize = 1 << 16;
 
 /// Minimum number of blocks handed to one pool worker.
 pub const PAR_MIN_BLOCKS: usize = 4;
+
+/// The pool a block quantization of `len` elements runs on: as wide as
+/// the global pool from [`PAR_MIN_ELEMS`] elements on, one thread (the
+/// caller's) below.
+pub(crate) fn block_pool(len: usize) -> Pool {
+    Pool::new(if len < PAR_MIN_ELEMS {
+        1
+    } else {
+        Pool::global().threads()
+    })
+}
+
+/// Runs `f` on each `block_size`-element block of `data` (the last may be
+/// ragged) and returns the results in block order. The blocks go to
+/// `pool` in contiguous chunks of at least [`PAR_MIN_BLOCKS`], each chunk
+/// with a scratch of its own, so the results are the same for every
+/// pool; a one-thread pool runs the one chunk inline.
+///
+/// # Panics
+///
+/// Panics if `block_size` is zero.
+pub(crate) fn map_blocks<T: Send>(
+    pool: &Pool,
+    data: &[f32],
+    block_size: usize,
+    f: impl Fn(&[f32], &mut QuantScratch) -> T + Sync,
+) -> Vec<T> {
+    assert!(block_size > 0, "block size must be positive");
+    let nblocks = data.len().div_ceil(block_size);
+    let chunks = Pool::partition(nblocks, pool.threads(), PAR_MIN_BLOCKS);
+    let per_chunk = pool.parallel_map(chunks.len(), |c| {
+        let blocks = &chunks[c];
+        let end = (blocks.end * block_size).min(data.len());
+        let mut scratch = QuantScratch::new();
+        data[blocks.start * block_size..end]
+            .chunks(block_size)
+            .map(|block| f(block, &mut scratch))
+            .collect::<Vec<T>>()
+    });
+    per_chunk.into_iter().flatten().collect()
+}
 
 /// Elements per store/fold round of [`eval_candidates_shared`]: one SQU
 /// block, so an HQT block is a single chunk and the candidate rows
@@ -328,8 +371,9 @@ pub fn pow2_multiplier(scale0: f32, scale_w: f32) -> Option<f32> {
 }
 
 /// Fused LDQ block kernel: quantizes `x` with `params`, appending the
-/// codes to `codes`.
-#[inline]
+/// codes to `codes`. Always inlined, like the E²BQM passes, so that it
+/// compiles for the SIMD level of the [`cq_par::SimdKernel`] calling it.
+#[inline(always)]
 pub(crate) fn quantize_codes_into(x: &[f32], params: QuantParams, codes: &mut Vec<i32>) {
     let bound = code_bound(params);
     // Resize + slice write (not `extend`): the per-push capacity check

@@ -19,6 +19,7 @@
 //!    (1-byte payload + 2-byte statistic per block); the efficiency loss is
 //!    <1% for K ≥ 200 and <0.05% for K ≥ 4000.
 
+use crate::algorithms::CodesBlock;
 use crate::fast;
 use crate::format::{IntFormat, QuantParams};
 use crate::qtensor::QuantizedTensor;
@@ -89,11 +90,7 @@ impl LdqTensor {
             cq_obs::counter!("quant.calls").incr();
             cq_obs::counter!("quant.blocks").add(x.len().div_ceil(config.block_size) as u64);
         }
-        if x.len() < fast::PAR_MIN_ELEMS || Pool::global().threads() == 1 {
-            Self::quantize_fused_serial(x, config)
-        } else {
-            Self::quantize_fast_on(Pool::global(), x, config)
-        }
+        Self::quantize_fast_on(&fast::block_pool(x.len()), x, config)
     }
 
     /// The reference implementation: two passes per block through separate
@@ -126,69 +123,28 @@ impl LdqTensor {
         }
     }
 
-    /// Fused single-pass kernel for one block: θ and codes produced while
-    /// the slice is cache-resident, no intermediate tensors.
-    fn quantize_block_fused(data: &[f32], format: IntFormat) -> (QuantizedTensor, f32) {
-        let theta = fast::block_theta(data);
-        let params = QuantParams::symmetric(theta, format);
-        let mut codes = Vec::with_capacity(data.len());
-        fast::quantize_codes_into(data, params, &mut codes);
-        (
-            QuantizedTensor::from_codes(codes, params, &[data.len()]),
-            fast::effective_theta(theta),
-        )
-    }
-
-    /// Serial fused path.
-    fn quantize_fused_serial(x: &Tensor, config: LdqConfig) -> Self {
-        let data = x.data();
-        let n = data.len();
-        let nblocks = n.div_ceil(config.block_size.max(1));
-        let mut blocks = Vec::with_capacity(nblocks);
-        let mut thetas = Vec::with_capacity(nblocks);
-        let mut start = 0;
-        while start < n {
-            let len = config.block_size.min(n - start);
-            let (b, t) = Self::quantize_block_fused(&data[start..start + len], config.format);
-            blocks.push(b);
-            thetas.push(t);
-            start += len;
-        }
-        LdqTensor {
-            blocks,
-            thetas,
-            dims: x.dims().to_vec(),
-            config,
-        }
-    }
-
-    /// Pool-explicit fused path: blocks are partitioned into contiguous
-    /// chunks and results are flattened in block order, so the output is
-    /// identical for any worker count.
+    /// Pool-explicit fused path: θ and codes in one cache-resident pass
+    /// per block, compiled for the process's SIMD level
+    /// ([`cq_par::dispatch`]). Blocks are partitioned into contiguous chunks and results are
+    /// flattened in block order, so the output is identical for any
+    /// worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.block_size` is zero.
     pub fn quantize_fast_on(pool: &Pool, x: &Tensor, config: LdqConfig) -> Self {
-        let data = x.data();
-        let n = data.len();
-        let nblocks = n.div_ceil(config.block_size.max(1));
-        let chunks = Pool::partition(nblocks, pool.threads(), fast::PAR_MIN_BLOCKS);
-        let per_chunk: Vec<Vec<(QuantizedTensor, f32)>> = pool.parallel_map(chunks.len(), |ci| {
-            let r = chunks[ci].clone();
-            let mut out = Vec::with_capacity(r.len());
-            for b in r {
-                let start = b * config.block_size;
-                let len = config.block_size.min(n - start);
-                out.push(Self::quantize_block_fused(
-                    &data[start..start + len],
-                    config.format,
-                ));
-            }
-            out
-        });
-        let mut blocks = Vec::with_capacity(nblocks);
-        let mut thetas = Vec::with_capacity(nblocks);
-        for (b, t) in per_chunk.into_iter().flatten() {
-            blocks.push(b);
-            thetas.push(t);
-        }
+        let (blocks, thetas) =
+            fast::map_blocks(pool, x.data(), config.block_size, |src, scratch| {
+                let (block, theta, _) = cq_par::dispatch(CodesBlock {
+                    src,
+                    format: config.format,
+                    multiplex: None,
+                    scratch,
+                });
+                (block, fast::effective_theta(theta))
+            })
+            .into_iter()
+            .unzip();
         LdqTensor {
             blocks,
             thetas,

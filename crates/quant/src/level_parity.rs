@@ -8,7 +8,7 @@
 //! the scalar one: NaN, ±∞, ±0, subnormals, exact .5 ties of the
 //! quotient, |x| ≥ 2²³, and gradient-like blocks that are 50–99% ±0.
 
-use crate::algorithms::{DenseBlock, NonzerosBlock};
+use crate::algorithms::{CodesBlock, DenseBlock, NonzerosBlock};
 use crate::e2bqm::{CandidateStrategy, E2bqmQuantizer, ErrorEstimator};
 use crate::fast::QuantScratch;
 use crate::format::IntFormat;
@@ -175,7 +175,8 @@ fn int_domain_quantize_matches_across_levels() {
 }
 
 /// Way, per-way errors and fake-quantized values of a dense block, and
-/// of the same block from its nonzeros alone.
+/// of the same block from its nonzeros alone; codes, scale and θ of the
+/// block quantized to codes, as LDQ tensors and E²BQM selections are.
 #[test]
 fn e2bqm_blocks_match_across_levels() {
     let inputs = blocks(0x2545_f491_4f6c_dd1d, 60);
@@ -219,6 +220,23 @@ fn e2bqm_blocks_match_across_levels() {
                 (way, errors, bits(&vals))
             });
             assert_eq!(scalar, detected, "nonzeros, {case}");
+
+            let [scalar, detected] = levels().map(|level| {
+                let mut scratch = QuantScratch::new();
+                let (block, theta, way) = dispatch_at(
+                    level,
+                    CodesBlock {
+                        src: x,
+                        format,
+                        multiplex: m,
+                        scratch: &mut scratch,
+                    },
+                );
+                let errors: Vec<u64> = scratch.errors.iter().map(|e| e.to_bits()).collect();
+                let scale = block.params().scale.to_bits();
+                (block.values().to_vec(), scale, theta.to_bits(), way, errors)
+            });
+            assert_eq!(scalar, detected, "codes, {case}");
         }
     }
 }

@@ -10,9 +10,10 @@
 //! recomputes every streamed record in-process and compares bytes —
 //! the daemon byte-identity acceptance check. Prints a single JSON
 //! report line; exits non-zero if any sweep failed, any record
-//! mismatched, or any transport error occurred. A `CQ_*` name outside
-//! [`cq_obs::KNOBS`] or an invalid `CQ_THREADS` or `CQ_SIMD` aborts
-//! before the first connection.
+//! mismatched, or any transport error occurred. Starts through
+//! [`cq_par::start`], so a `CQ_*` name outside [`cq_par::KNOBS`], an
+//! invalid `CQ_THREADS` or `CQ_SIMD` or an unwritable `CQ_TRACE` path
+//! aborts before the first connection, and `CQ_TRACE` traces the run.
 
 use cq_serve::{run_load, LoadOptions};
 
@@ -32,7 +33,7 @@ fn csv(s: &str) -> Vec<String> {
 }
 
 fn main() {
-    cq_obs::reject_unknown_knobs();
+    let trace = cq_par::start();
     let mut addr = "127.0.0.1:4655".to_string();
     let mut quick = false;
     let mut check = false;
@@ -61,10 +62,6 @@ fn main() {
         }
     }
 
-    // Resolve CQ_THREADS and CQ_SIMD now: an invalid value aborts here,
-    // before the first connection.
-    let _ = cq_par::Pool::global();
-    let _ = cq_par::simd_level();
     let mut opts = if quick {
         LoadOptions::quick(&addr)
     } else {
@@ -90,6 +87,7 @@ fn main() {
     }
 
     let report = run_load(&opts);
+    drop(trace);
     println!("{}", report.to_json());
     if !report.is_clean() {
         eprintln!(

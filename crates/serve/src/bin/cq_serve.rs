@@ -4,16 +4,16 @@
 //! cq_serve [--addr 127.0.0.1:4655] [--workers N] [--queue-cap N] [--retry-after-ms N]
 //! ```
 //!
-//! Refuses any `CQ_*` name outside [`cq_obs::KNOBS`] and resolves
-//! `CQ_THREADS` and `CQ_SIMD` before it opens a socket, so a misspelt
-//! name or a bad value stops the daemon at start-up instead of being
-//! ignored or failing its first request. Every cell simulates under the
-//! default mapping policy. Prints
+//! Starts through [`cq_par::start`] before it opens a socket, so a `CQ_*`
+//! name outside [`cq_par::KNOBS`], a bad `CQ_THREADS` or `CQ_SIMD` value
+//! or an unwritable `CQ_TRACE` path stops the daemon at start-up instead
+//! of being ignored or failing its first request. Every cell simulates
+//! under the default mapping policy. Prints
 //! `cq-serve listening on <addr>` once the socket is bound (CI waits for
 //! that line), then serves until SIGTERM/SIGINT or a protocol-level
 //! `{"type":"shutdown"}` request. Shutdown drains every admitted cell
-//! before exiting, and `CQ_TRACE` observability flushes on the way
-//! out, so traces stay valid.
+//! before exiting, and the `CQ_TRACE` sink flushes on the way out, so
+//! traces stay valid.
 
 #![deny(unsafe_code)]
 
@@ -69,7 +69,7 @@ fn usage() -> ! {
 }
 
 fn main() {
-    cq_obs::reject_unknown_knobs();
+    let trace = cq_par::start();
     let mut addr = "127.0.0.1:4655".to_string();
     let mut cfg = ServerConfig::default();
     fn number<T: std::str::FromStr>(name: &str, value: Option<String>) -> T {
@@ -91,16 +91,6 @@ fn main() {
                 usage();
             }
         }
-    }
-
-    // Resolve CQ_THREADS and CQ_SIMD now, as the experiment binaries
-    // do: an invalid value aborts here, before the daemon announces
-    // itself.
-    let _ = cq_par::Pool::global();
-    let _ = cq_par::simd_level();
-    if let Err(e) = cq_obs::init_from_env() {
-        eprintln!("cq_serve: observability init failed: {e}");
-        std::process::exit(1);
     }
 
     let server = match Server::bind(&addr, cfg) {
@@ -128,7 +118,7 @@ fn main() {
     println!("cq-serve listening on {bound}");
     if let Err(e) = server.run() {
         eprintln!("cq_serve: serve loop failed: {e}");
-        cq_obs::finish();
+        drop(trace);
         std::process::exit(1);
     }
 
@@ -137,6 +127,6 @@ fn main() {
             eprintln!("cq_serve: {name} = {value}");
         }
     }
-    cq_obs::finish();
+    drop(trace);
     println!("cq-serve drained and stopped");
 }

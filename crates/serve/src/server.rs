@@ -22,16 +22,19 @@
 //!
 //! # Coalescing
 //!
-//! Identical in-flight cells are deduplicated at admission by their
-//! canonical `HwCostCache` key ([`cq_accel::CambriconQ::cache_key`] of
-//! the resolved presets — exactly the key the simulator memoizes runs
-//! under): a cell whose key is already admitted-but-unfinished attaches
-//! a *waiter* to the running job instead of consuming a queue slot, and
-//! every waiter receives a clone of the primary's record, so all
-//! requesters see byte-identical `record` payloads. Waiter registration
-//! participates in all-or-nothing admission — a rejected batch detaches
-//! its waiters and unpublishes its would-be primaries under the same
-//! lock. Each attachment increments the `serve.coalesced` counter.
+//! Identical in-flight cells are deduplicated at admission by the
+//! [`Cell`] itself: its three preset names are a complete description
+//! of the simulator's inputs (the [`registry`] contract), and no two
+//! presets resolve to the same inputs, so equal cells are exactly the
+//! cells with equal records. A cell already admitted-but-unfinished
+//! attaches a *waiter* to the running job instead of consuming a queue
+//! slot, and every waiter receives a clone of the primary's record, so
+//! all requesters see byte-identical `record` payloads. Admission
+//! resolves no preset; the worker resolves each cell once, when it
+//! simulates it. Waiter registration participates in all-or-nothing
+//! admission — a rejected batch detaches its waiters and unpublishes
+//! its would-be primaries under the same lock. Each attachment
+//! increments the `serve.coalesced` counter.
 //!
 //! # Failure semantics
 //!
@@ -46,7 +49,6 @@ use crate::protocol::{parse_request, Cell, Frame, Request, SweepRequest};
 use crate::registry;
 use cq_accel::CambriconQ;
 use cq_par::{BatchRejected, BoundedQueue, Pool};
-use cq_sim::HwCostKey;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -118,7 +120,6 @@ type Reply = mpsc::Sender<(Cell, Result<String, String>)>;
 
 struct Job {
     cell: Cell,
-    key: HwCostKey,
     reply: Reply,
 }
 
@@ -131,25 +132,15 @@ struct Waiter {
     reply: Reply,
 }
 
-/// The canonical cache key of a validated cell: resolve the presets and
-/// ask the simulator for the exact `HwCostCache` key it would memoize
-/// the run under.
-fn cell_key(cell: &Cell) -> HwCostKey {
-    let net = registry::net(&cell.net).expect("cell presets validated at parse");
-    let config = registry::config(&cell.config).expect("cell presets validated at parse");
-    let optimizer = registry::optimizer(&cell.optimizer).expect("cell presets validated at parse");
-    CambriconQ::new(config).cache_key(&net, optimizer)
-}
-
 /// A bound-but-not-yet-running sweep daemon.
 pub struct Server {
     listener: TcpListener,
     queue: BoundedQueue<Job>,
     cfg: ServerConfig,
     shutdown: Arc<AtomicBool>,
-    /// In-flight cells by canonical key; the value holds the waiters to
-    /// fan the primary's result out to. Present ⇒ admitted, unfinished.
-    inflight: Mutex<HashMap<HwCostKey, Vec<Waiter>>>,
+    /// In-flight cells; the value holds the waiters to fan the
+    /// primary's result out to. Present ⇒ admitted, unfinished.
+    inflight: Mutex<HashMap<Cell, Vec<Waiter>>>,
     /// Request token source for waiter rollback.
     next_token: AtomicU64,
 }
@@ -218,7 +209,7 @@ impl Server {
 
     fn worker_loop(&self, _worker: usize) {
         while let Some(job) = self.queue.pop() {
-            let Job { cell, key, reply } = job;
+            let Job { cell, reply } = job;
             let outcome = cq_par::catch_task(|| {
                 if let Some(hook) = &self.cfg.fault {
                     hook(&cell);
@@ -237,7 +228,7 @@ impl Server {
                 .inflight
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .remove(&key)
+                .remove(&cell)
                 .unwrap_or_default();
             for w in waiters {
                 // Same `record`/`error` string for every requester — the
@@ -325,28 +316,26 @@ impl Server {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         // Admission runs under the in-flight lock so registration and the
         // queue push are atomic with respect to worker fan-out: a cell
-        // whose key is already in flight (from any request, or earlier in
-        // this very grid) attaches a waiter instead of consuming a slot.
+        // already in flight (from any request, or earlier in this very
+        // grid) attaches a waiter instead of consuming a slot.
         let (admitted, needed) = {
             let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
             let mut jobs = Vec::new();
-            let mut primaries: Vec<HwCostKey> = Vec::new();
-            let mut joined: Vec<HwCostKey> = Vec::new();
+            let mut primaries: Vec<Cell> = Vec::new();
+            let mut joined: Vec<Cell> = Vec::new();
             for cell in cells {
-                let key = cell_key(&cell);
-                if let Some(waiters) = inflight.get_mut(&key) {
+                if let Some(waiters) = inflight.get_mut(&cell) {
+                    joined.push(cell.clone());
                     waiters.push(Waiter {
                         token,
                         cell,
                         reply: tx.clone(),
                     });
-                    joined.push(key);
                 } else {
-                    inflight.insert(key.clone(), Vec::new());
-                    primaries.push(key.clone());
+                    inflight.insert(cell.clone(), Vec::new());
+                    primaries.push(cell.clone());
                     jobs.push(Job {
                         cell,
-                        key,
                         reply: tx.clone(),
                     });
                 }
